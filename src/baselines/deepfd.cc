@@ -76,7 +76,7 @@ std::vector<ScoredGroup> DeepFd::DetectGroups(const Graph& g) const {
 
   // Declared before any Var; see GcnGae::Fit.
   MatrixArena local_arena;
-  ArenaScope arena_scope(TrainingFastPathEnabled() ? &local_arena : nullptr);
+  ArenaScope arena_scope(&local_arena);
 
   // --- Embedding model: MLP encoder + decoder (no graph propagation; the
   // structure enters through the pairwise similarity loss). ---

@@ -151,16 +151,13 @@ GaeResult GcnGae::Fit(const Graph& g) const {
   // Declared before any Var so every tape node (params included) is torn
   // down before the arena; all matrix traffic below recycles through it.
   MatrixArena local_arena;
-  MatrixArena* arena = options_.arena != nullptr ? options_.arena
-                       : TrainingFastPathEnabled() ? &local_arena
-                                                   : nullptr;
+  MatrixArena* arena =
+      options_.arena != nullptr ? options_.arena : &local_arena;
   ArenaScope arena_scope(arena);
-  if (arena != nullptr) {
-    if (options_.arena_byte_budget > 0) {
-      arena->SetByteBudget(options_.arena_byte_budget);
-    }
-    arena->SetStopToken(options_.cancel);
+  if (options_.arena_byte_budget > 0) {
+    arena->SetByteBudget(options_.arena_byte_budget);
   }
+  arena->SetStopToken(options_.cancel);
 
   const auto a_norm = NormalizedAdjacency(g);
   const SparseMatrix target = BuildTarget(g, options_);

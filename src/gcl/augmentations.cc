@@ -32,9 +32,9 @@ bool ParseAugmentationKind(const std::string& name, AugmentationKind* out) {
 namespace {
 
 // The augmentation bodies are generic over the group representation: a
-// materialized Graph (the seed shape) or a borrowed SubgraphView (the
-// candidate fast path). Both expose num_nodes/Neighbors/ForEachEdge/
-// attr_dim; only attribute-row access differs.
+// materialized Graph or a borrowed SubgraphView. Both expose
+// num_nodes/Neighbors/ForEachEdge/attr_dim; only attribute-row access
+// differs.
 const double* AttrRowOf(const Graph& g, int v) {
   return g.attributes().RowPtr(v);
 }

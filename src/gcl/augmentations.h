@@ -43,9 +43,9 @@ bool ParseAugmentationKind(const std::string& name, AugmentationKind* out);
 Graph Augment(const Graph& group, AugmentationKind kind,
               const FoundPatterns& patterns, Rng* rng);
 
-/// Same augmentation, straight off a subgraph view (candidate fast path) —
-/// identical output and identical `rng` consumption for the view of the
-/// same group, so the two forms are interchangeable mid-stream.
+/// Same augmentation, straight off a subgraph view — identical output and
+/// identical `rng` consumption for the view of the same group, so the two
+/// forms are interchangeable mid-stream.
 Graph Augment(const SubgraphView& group, AugmentationKind kind,
               const FoundPatterns& patterns, Rng* rng);
 

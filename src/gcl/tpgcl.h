@@ -76,8 +76,8 @@ GraphBatch BuildGraphBatch(const std::vector<Graph>& graphs);
 /// WITHOUT materializing them: one SubgraphView is retargeted per group and
 /// the block-diagonal normalized adjacency, stacked attributes, and pool
 /// matrix are emitted straight off it. Bitwise identical to
-/// BuildGraphBatch({host.InducedSubgraph(group)...}) — the candidate fast
-/// path routes FitEmbed's original-group batch through this.
+/// BuildGraphBatch({host.InducedSubgraph(group)...}); FitEmbed builds its
+/// original-group batch with this.
 GraphBatch BuildGraphBatchFromGroups(
     const Graph& host, const std::vector<std::vector<int>>& groups);
 

@@ -139,14 +139,9 @@ bool Var::requires_grad() const { return defined() && node_->requires_grad; }
 
 void Var::ZeroGrad() {
   GRGAD_CHECK(defined());
-  if (TrainingFastPathEnabled() && !node_->grad.empty()) {
-    // Keep the buffer; the next accumulation overwrites it in place. No
-    // zero fill is needed — grad() already reports empty via grad_zero.
-    node_->grad_zero = true;
-  } else {
-    node_->grad = Matrix();
-    node_->grad_zero = false;
-  }
+  // Keep the buffer; the next accumulation overwrites it in place. No zero
+  // fill is needed — grad() already reports empty via grad_zero.
+  if (!node_->grad.empty()) node_->grad_zero = true;
 }
 
 double Var::item() const {

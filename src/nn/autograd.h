@@ -42,8 +42,8 @@ struct VarNode {
   Matrix value;
   Matrix grad;  // Empty until first accumulation.
   bool requires_grad = false;
-  // ZeroGrad with the fast path on keeps the gradient buffer and sets this
-  // instead of freeing; the next AccumulateGrad overwrites in place.
+  // ZeroGrad keeps the gradient buffer and sets this instead of freeing;
+  // the next AccumulateGrad overwrites in place.
   bool grad_zero = false;
   uint64_t id = 0;  // Monotonic creation index; defines topological order.
   MatrixArena* arena = nullptr;  // Recycles value/grad on teardown when set.
@@ -103,10 +103,9 @@ class Var {
   size_t rows() const { return value().rows(); }
   size_t cols() const { return value().cols(); }
 
-  /// Clears the accumulated gradient. With the training fast path on (the
-  /// default) the buffer is kept and marked cleared so the next epoch's
-  /// first accumulation overwrites it in place; otherwise it is freed, as
-  /// the seed did. grad() reports empty either way.
+  /// Clears the accumulated gradient. The buffer is kept and marked
+  /// cleared so the next epoch's first accumulation overwrites it in place;
+  /// grad() reports empty until then.
   void ZeroGrad();
 
   /// Runs reverse-mode differentiation from this node, which must hold a

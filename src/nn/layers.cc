@@ -133,10 +133,9 @@ Mlp::Mlp(const std::vector<size_t>& dims, Rng* rng, bool use_bias) {
 
 Var Mlp::Forward(const Var& x) const {
   Var h = x;
-  const bool fuse = TrainingFastPathEnabled();
   for (size_t i = 0; i < layers_.size(); ++i) {
     const bool interior = i + 1 < layers_.size();
-    if (interior && fuse && layers_[i].has_bias()) {
+    if (interior && layers_[i].has_bias()) {
       // Fused bias+ReLU: bitwise identical to the unfused pair below.
       h = BiasReluFused(layers_[i].ForwardNoBias(h), layers_[i].bias());
     } else {

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "src/tensor/arena.h"
 #include "src/util/check.h"
 #include "src/util/parallel.h"
 
@@ -44,7 +43,6 @@ void Adam::Step() {
   const double lr = options_.lr;
   const double eps = options_.eps;
   const double weight_decay = options_.weight_decay;
-  const bool fast = TrainingFastPathEnabled();
   for (size_t k = 0; k < params_.size(); ++k) {
     Var& p = params_[k];
     if (p.grad().empty()) continue;
@@ -72,11 +70,7 @@ void Adam::Step() {
         value[i] -= update;
       }
     };
-    if (fast) {
-      ParallelFor(size, kElementwiseParallelGrain, update_range);
-    } else {
-      update_range(0, size);
-    }
+    ParallelFor(size, kElementwiseParallelGrain, update_range);
   }
 }
 
@@ -92,7 +86,6 @@ Sgd::Sgd(std::vector<Var> params, double lr)
 }
 
 void Sgd::Step() {
-  const bool fast = TrainingFastPathEnabled();
   for (Var& p : params_) {
     if (p.grad().empty()) continue;
     double* __restrict value = p.mutable_value().data();
@@ -102,11 +95,7 @@ void Sgd::Step() {
     auto update_range = [&](size_t begin, size_t end) {
       for (size_t i = begin; i < end; ++i) value[i] -= lr * g[i];
     };
-    if (fast) {
-      ParallelFor(size, kElementwiseParallelGrain, update_range);
-    } else {
-      update_range(0, size);
-    }
+    ParallelFor(size, kElementwiseParallelGrain, update_range);
   }
 }
 

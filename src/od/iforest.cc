@@ -5,7 +5,6 @@
 #include <memory>
 
 #include "src/util/check.h"
-#include "src/util/fastpath.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 
@@ -129,8 +128,7 @@ std::vector<double> IsolationForest::FitScore(const Matrix& x) {
   // nodes cache-resident across the chunk (row-outer cycles every tree
   // through cache per row and measures ~25% slower); each sample still
   // accumulates its terms in ascending tree order whatever the chunking, so
-  // scores are bitwise reproducible across GRGAD_THREADS and match the
-  // serial loop.
+  // scores are bitwise reproducible across GRGAD_THREADS.
   std::vector<double> total_path(n, 0.0);
   auto score_rows = [&](size_t begin, size_t end) {
     for (int t = 0; t < num_trees; ++t) {
@@ -140,15 +138,10 @@ std::vector<double> IsolationForest::FitScore(const Matrix& x) {
       }
     }
   };
-  if (ScoringFastPathEnabled()) {
-    ParallelFor(num_trees, 1, [&](size_t begin, size_t end) {
-      for (size_t t = begin; t < end; ++t) build_tree(static_cast<int>(t));
-    });
-    ParallelFor(n, 16, score_rows);
-  } else {
-    for (int t = 0; t < num_trees; ++t) build_tree(t);
-    score_rows(0, static_cast<size_t>(n));
-  }
+  ParallelFor(num_trees, 1, [&](size_t begin, size_t end) {
+    for (size_t t = begin; t < end; ++t) build_tree(static_cast<int>(t));
+  });
+  ParallelFor(n, 16, score_rows);
   const double c = AveragePathLength(psi);
   std::vector<double> score(n);
   for (int i = 0; i < n; ++i) {

@@ -2,15 +2,14 @@
 //
 // Trees are grown from independent per-tree RNG streams derived from
 // options.seed (a SplitMix64-style mix of seed and tree id), so tree
-// construction is embarrassingly parallel and the result is identical
-// whether trees are built serially (scoring fast path off) or across the
-// pool (fast path on). Scoring accumulates each sample's path lengths over
-// trees in ascending tree order, so it too is bitwise reproducible across
-// runs and GRGAD_THREADS. Note: the per-tree streams change the forest (and
-// therefore the scores) relative to the pre-scoring-stage implementation,
-// which threaded ONE sequential stream through all trees and could not
-// parallelize; that original is frozen verbatim in
-// src/od/reference_detectors.h as the benchmark baseline.
+// construction is embarrassingly parallel and the result does not depend
+// on how trees are spread across the pool. Scoring accumulates each
+// sample's path lengths over trees in ascending tree order, so it too is
+// bitwise reproducible across runs and GRGAD_THREADS. Note: the per-tree
+// streams change the forest (and therefore the scores) relative to the
+// pre-scoring-stage implementation, which threaded ONE sequential stream
+// through all trees and could not parallelize; that original is frozen
+// verbatim in src/od/reference_detectors.h as the benchmark baseline.
 #ifndef GRGAD_OD_IFOREST_H_
 #define GRGAD_OD_IFOREST_H_
 

@@ -2,8 +2,7 @@
 // classic kNN outlier score (distance to the k-th neighbor).
 //
 // The distance work routes through src/od/neighbor_index.h: one distance
-// sweep per FitScore (GEMM panels on the scoring fast path, the seed scalar
-// matrix otherwise) feeding a shared per-row selection.
+// sweep per FitScore (GEMM panels) feeding a shared per-row selection.
 #ifndef GRGAD_OD_KNN_H_
 #define GRGAD_OD_KNN_H_
 
@@ -12,10 +11,9 @@
 
 namespace grgad {
 
-/// Pairwise Euclidean distance matrix (n x n, zero diagonal). On the
-/// scoring fast path this is the GEMM identity ‖xᵢ‖²+‖xⱼ‖²−2·xᵢ·xⱼ
-/// (panel-streamed into the output, still bitwise symmetric with an exactly
-/// zero diagonal); otherwise the seed scalar diff-square loop.
+/// Pairwise Euclidean distance matrix (n x n, zero diagonal), via the GEMM
+/// identity ‖xᵢ‖²+‖xⱼ‖²−2·xᵢ·xⱼ (panel-streamed into the output, still
+/// bitwise symmetric with an exactly zero diagonal).
 Matrix PairwiseDistances(const Matrix& x);
 
 /// For each row, indices of its k nearest other rows (ascending distance;

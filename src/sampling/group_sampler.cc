@@ -9,7 +9,6 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/graphsnn.h"
 #include "src/graph/traversal_workspace.h"
-#include "src/util/fastpath.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
@@ -30,21 +29,9 @@ double AttrDistance(const Graph& g, int u, int v) {
   return std::sqrt(s);
 }
 
-/// Reconstructs the parent-pointer path src -> dst (inclusive); empty when
-/// dst unreachable.
-std::vector<int> PathFromParents(const std::vector<int>& parent, int src,
-                                 int dst) {
-  if (parent[dst] == -1) return {};
-  std::vector<int> path = {dst};
-  for (int u = dst; u != src; u = parent[u]) {
-    path.push_back(parent[u]);
-    if (path.size() > parent.size()) return {};  // Corrupt parents guard.
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
-/// PathFromParents over a workspace's stamped parents (same guards).
+/// Reconstructs the parent-pointer path src -> dst (inclusive) from a
+/// workspace's stamped parents; empty when dst is unreachable or the
+/// parents are corrupt.
 std::vector<int> PathFromWorkspace(const TraversalWorkspace& ws, int src,
                                    int dst) {
   if (ws.Parent(dst) == -1) return {};
@@ -57,9 +44,9 @@ std::vector<int> PathFromWorkspace(const TraversalWorkspace& ws, int src,
   return path;
 }
 
-/// The per-candidate normalization the seed's emit() applied before its
-/// dedup check: truncate oversized raw groups (in emission order), sort,
-/// drop repeats, and enforce the size bounds. True when the group survives.
+/// The per-candidate normalization applied before the dedup check: truncate
+/// oversized raw groups (in emission order), sort, drop repeats, and
+/// enforce the size bounds. True when the group survives.
 bool NormalizeGroup(const GroupSamplerOptions& options,
                     std::vector<int>* group) {
   if (static_cast<int>(group->size()) < options.min_group_size) return false;
@@ -101,9 +88,9 @@ std::vector<double> SnnPathCosts(const Graph& g,
   return costs;
 }
 
-/// One anchor's search (fast path): BFS tree + one weighted search + cycle
-/// DFS, all on the two leased workspaces, emitting normalized candidates in
-/// exactly the seed's per-anchor order into `out`.
+/// One anchor's search: BFS tree + one weighted search + cycle DFS, all on
+/// the two leased workspaces, emitting normalized candidates into `out` in
+/// path, tree, cycle order.
 void SampleAnchor(const Graph& g, const GroupSamplerOptions& options,
                   const std::vector<int>& anchors, int anchor_index,
                   bool use_attr_paths, std::span<const double> slot_costs,
@@ -116,7 +103,7 @@ void SampleAnchor(const Graph& g, const GroupSamplerOptions& options,
   };
   // One BFS serves pair discovery (hop distances) for every µ; the weighted
   // parents come from a single Dijkstra — or, in GraphSNN mode, a single
-  // Bellman–Ford (the seed re-ran Bellman–Ford per anchor *pair*).
+  // Bellman–Ford, not one per anchor pair.
   BuildBfsTree(g, v, options.pair_radius, bfs_ws);
   bool weighted_ok = true;
   if (use_attr_paths) {
@@ -177,8 +164,8 @@ void SampleAnchor(const Graph& g, const GroupSamplerOptions& options,
 /// (the table stores indices into it), so admitting N candidates costs N
 /// hash probes plus the output pushes — no per-distinct-candidate tree-node
 /// allocation, the last per-call red-black-tree growth on the hot path.
-/// First-occurrence admit order is preserved, which is what the bitwise
-/// seed==fast contract hangs on.
+/// First-occurrence admit order is preserved, which is what the pinned
+/// output order hangs on.
 class FlatGroupSet {
  public:
   /// `expected` pre-sizes the table so a normal admit sequence never
@@ -254,7 +241,7 @@ void GroupSampler::TrimWorkspaces() {
 void GroupSampler::PrewarmWorkspaces(const Graph& g,
                                      const GroupSamplerOptions& options,
                                      int count) {
-  // Mirror SampleFast's own Prewarm calls exactly: the BFS pool needs
+  // Mirror Sample's own Prewarm calls exactly: the BFS pool needs
   // n-sized buffers, the weighted pool additionally the worst-case Dijkstra
   // heap reserve when attribute-distance path search is in effect.
   const int instances = std::max(count, ParallelismDegree());
@@ -275,14 +262,7 @@ std::vector<std::vector<int>> GroupSampler::Sample(
 std::vector<std::vector<int>> GroupSampler::Sample(
     const Graph& g, const std::vector<int>& anchors,
     SampleTelemetry* telemetry) const {
-  return CandidateFastPathEnabled() ? SampleFast(g, anchors, telemetry)
-                                    : SampleSeed(g, anchors, telemetry);
-}
-
-std::vector<std::vector<int>> GroupSampler::SampleFast(
-    const Graph& g, const std::vector<int>& anchors,
-    SampleTelemetry* telemetry) const {
-  // The fast path IS resample-everything + finalize: the incremental
+  // Sample IS resample-everything + finalize: the incremental
   // refresh path reuses the exact same two stages with a smaller index set,
   // which is why its merged output can be bitwise identical to this one.
   std::vector<int> all(anchors.size());
@@ -308,10 +288,10 @@ void GroupSampler::ResampleAnchors(
   const bool use_attr_paths =
       options_.path_mode == PathSearchMode::kAttributeDistance &&
       g.has_attributes();
-  // Per-adjacency-slot Dijkstra costs, computed ONCE per call: the seed
-  // re-evaluated the eps + ||x_u - x_v|| functor (a d-dim norm) on every
+  // Per-adjacency-slot Dijkstra costs, computed ONCE per call instead of
+  // re-evaluating the eps + ||x_u - x_v|| functor (a d-dim norm) on every
   // relaxation attempt of every anchor's Dijkstra. Slot (u, i) holds the
-  // exact value the seed would compute relaxing u -> Neighbors(u)[i].
+  // cost of relaxing u -> Neighbors(u)[i].
   std::vector<double> slot_costs;
   if (use_attr_paths) {
     slot_costs.resize(g.num_adj_slots());
@@ -399,7 +379,7 @@ std::vector<std::vector<int>> GroupSampler::FinalizeCandidates(
 
   // --- candidates/select: deterministic ascending-anchor merge. Replaying
   // the per-anchor candidate lists in anchor order through the global dedup
-  // reproduces the seed's single-threaded emission stream bit for bit. The
+  // reproduces a single-threaded emission stream bit for bit. The
   // per-anchor lists are copied in, never consumed: the refresh path keeps
   // them cached and replays this merge after every delta. ---
   size_t total = component_groups.size();
@@ -413,119 +393,6 @@ std::vector<std::vector<int>> GroupSampler::FinalizeCandidates(
     for (const auto& group : list) seen.Admit(group, &out);
   }
   for (auto& group : component_groups) seen.Admit(std::move(group), &out);
-  SubsampleIfOver(options_, &out);
-  if (telemetry != nullptr) {
-    telemetry->select_seconds = phase_timer.ElapsedSeconds();
-  }
-  return out;
-}
-
-std::vector<std::vector<int>> GroupSampler::SampleSeed(
-    const Graph& g, const std::vector<int>& anchors,
-    SampleTelemetry* telemetry) const {
-  Timer phase_timer;
-  std::vector<std::vector<int>> out;
-  FlatGroupSet seen(/*expected=*/64);  // Exact-duplicate filter; grows.
-  // Same normalization helper + dedup structure as the fast path — the
-  // bitwise seed==fast contract hangs on the two paths sharing them.
-  auto emit = [&](std::vector<int> group) {
-    if (NormalizeGroup(options_, &group)) seen.Admit(std::move(group), &out);
-  };
-
-  std::vector<uint8_t> is_anchor(g.num_nodes(), 0);
-  for (int a : anchors) {
-    GRGAD_CHECK(a >= 0 && a < g.num_nodes());
-    is_anchor[a] = 1;
-  }
-
-  const std::vector<double> snn_costs = SnnPathCosts(g, options_);
-  const bool use_attr_paths =
-      options_.path_mode == PathSearchMode::kAttributeDistance &&
-      g.has_attributes();
-  auto attr_cost = [&g, this](int u, int v) {
-    return options_.attribute_cost_eps + AttrDistance(g, u, v);
-  };
-
-  for (int v : anchors) {
-    // Stop poll per anchor (see SampleFast): partial output is discarded by
-    // the caller once it observes the fired token.
-    if (options_.cancel.stop_requested()) break;
-    // One BFS serves pair discovery (hop distances) for every µ; the
-    // weighted parents come from a single Dijkstra per anchor.
-    const BfsTree bfs = BuildBfsTree(g, v, options_.pair_radius);
-    std::vector<double> wdist;
-    std::vector<int> wparent;
-    if (use_attr_paths) {
-      Dijkstra(g, v, attr_cost, &wdist, &wparent);
-    }
-    // Nearby anchors, ordered by (weighted or hop) distance.
-    std::vector<std::pair<double, int>> nearby;
-    for (int mu : anchors) {
-      if (mu == v || bfs.depth[mu] == kUnreachable) continue;
-      const double d = use_attr_paths ? wdist[mu]
-                                      : static_cast<double>(bfs.depth[mu]);
-      nearby.emplace_back(d, mu);
-    }
-    std::sort(nearby.begin(), nearby.end());
-
-    // --- Line 5: PathSearch(v, µ) for the nearest anchors. ---
-    std::vector<int> tree_union;
-    int fanout_used = 0;
-    int paths_emitted = 0;
-    for (const auto& [d, mu] : nearby) {
-      if (paths_emitted >= options_.max_paths_per_anchor) break;
-      std::vector<int> path;
-      if (use_attr_paths) {
-        path = PathFromParents(wparent, v, mu);
-      } else if (options_.path_mode == PathSearchMode::kGraphSnnWeighted) {
-        path = BellmanFordPath(g, v, mu, snn_costs);
-      } else {
-        path = PathFromParents(bfs.parent, v, mu);
-      }
-      if (path.empty() ||
-          static_cast<int>(path.size()) > options_.max_group_size) {
-        continue;
-      }
-      emit(path);
-      ++paths_emitted;
-      // --- Line 7: TreeSearch(v, µ): union of the paths to the nearest
-      // anchors forms the hierarchical structure between them. ---
-      if (fanout_used < options_.tree_fanout) {
-        tree_union.insert(tree_union.end(), path.begin(), path.end());
-        ++fanout_used;
-        if (fanout_used >= 2) emit(tree_union);
-      }
-    }
-    // --- Line 10: CycleSearch(v). ---
-    const auto cycles = CyclesThrough(g, v, options_.cycle_max_len,
-                                      options_.max_cycles_per_anchor,
-                                      options_.cycle_max_steps);
-    for (const auto& cycle : cycles) emit(cycle);
-  }
-  if (telemetry != nullptr) {
-    telemetry->search_seconds = phase_timer.ElapsedSeconds();
-    phase_timer.Reset();
-  }
-
-  // --- Extension: bridged connected components of the anchor set. ---
-  if (options_.include_anchor_components) {
-    std::vector<int> expanded = anchors;
-    for (int u = 0; u < g.num_nodes(); ++u) {
-      if (is_anchor[u]) continue;
-      int anchor_neighbors = 0;
-      for (int w : g.Neighbors(u)) anchor_neighbors += is_anchor[w];
-      if (anchor_neighbors >= 2) expanded.push_back(u);
-    }
-    std::sort(expanded.begin(), expanded.end());
-    for (auto& component : ComponentsOfSubset(g, expanded)) {
-      emit(std::move(component));
-    }
-  }
-  if (telemetry != nullptr) {
-    telemetry->components_seconds = phase_timer.ElapsedSeconds();
-    phase_timer.Reset();
-  }
-
   SubsampleIfOver(options_, &out);
   if (telemetry != nullptr) {
     telemetry->select_seconds = phase_timer.ElapsedSeconds();

@@ -19,13 +19,12 @@
 // returned so every anchor contributes, rather than truncating the anchor
 // loop.
 //
-// Execution: with the candidate fast path on (src/util/fastpath.h, the
-// default), anchors fan out over the persistent thread pool with pooled
+// Execution: anchors fan out over the persistent thread pool with pooled
 // per-worker TraversalWorkspaces, per-adjacency-slot Dijkstra costs
 // precomputed once per call, and one Bellman–Ford per anchor; per-anchor
 // candidate lists are then merged in ascending anchor order, so the output
-// — groups, order, and the seeded subsample draw — is bitwise identical to
-// the frozen serial seed path at any GRGAD_THREADS
+// — groups, order, and the seeded subsample draw — is bitwise identical at
+// any GRGAD_THREADS and pinned by golden fingerprints
 // (tests/candidate_determinism_test.cc).
 #ifndef GRGAD_SAMPLING_GROUP_SAMPLER_H_
 #define GRGAD_SAMPLING_GROUP_SAMPLER_H_
@@ -108,14 +107,14 @@ class GroupSampler {
                                        const std::vector<int>& anchors,
                                        SampleTelemetry* telemetry) const;
 
-  /// The fast path's per-anchor fan-out, restricted to `anchor_indices`:
+  /// Sample()'s per-anchor fan-out, restricted to `anchor_indices`:
   /// recomputes the pre-dedup candidate lists of exactly those anchors into
   /// (*per_anchor)[index] (the outer vector is resized to anchors.size();
   /// entries of untouched anchors are preserved). This is the building
   /// block the incremental-refresh path uses to re-sample only dirty
   /// anchors while reusing cached lists for the clean ones —
   /// ResampleAnchors over ALL indices followed by FinalizeCandidates is
-  /// exactly Sample()'s fast path, so a cached-plus-dirty merge is bitwise
+  /// exactly Sample(), so a cached-plus-dirty merge is bitwise
   /// identical to a from-scratch Sample() at any GRGAD_THREADS.
   void ResampleAnchors(
       const Graph& g, const std::vector<int>& anchors,
@@ -123,7 +122,7 @@ class GroupSampler {
       std::vector<std::vector<std::vector<int>>>* per_anchor,
       SampleTelemetry* telemetry = nullptr) const;
 
-  /// The fast path's tail over (possibly cached) per-anchor candidate
+  /// Sample()'s tail over (possibly cached) per-anchor candidate
   /// lists: the anchor-component extension, the deterministic
   /// ascending-anchor dedup merge, and the seeded subsample. Pure over its
   /// inputs — the per-anchor lists are copied, never consumed, so callers
@@ -140,7 +139,7 @@ class GroupSampler {
   static void TrimWorkspaces();
 
   /// Pre-grows both pools for `g`-sized traversals under `options` — the
-  /// exact Prewarm calls Sample() issues on its fast path, so a subsequent
+  /// exact Prewarm calls Sample() issues, so a subsequent
   /// Sample() over `g` performs zero workspace heap allocations
   /// (TraversalWorkspace::TotalHeapAllocs stays flat). `count` below the
   /// parallelism degree is raised to it: Sample() leases one workspace pair
@@ -150,17 +149,6 @@ class GroupSampler {
                                 const GroupSamplerOptions& options, int count);
 
  private:
-  // The frozen seed shape: one anchor at a time, fresh traversal buffers
-  // per call, per-pair Bellman–Ford (micro_benchmarks measures this against
-  // the fast path; SetCandidateFastPath(false) routes here).
-  std::vector<std::vector<int>> SampleSeed(const Graph& g,
-                                           const std::vector<int>& anchors,
-                                           SampleTelemetry* telemetry) const;
-  // Anchor-parallel workspace-backed fast path; bitwise-identical output.
-  std::vector<std::vector<int>> SampleFast(const Graph& g,
-                                           const std::vector<int>& anchors,
-                                           SampleTelemetry* telemetry) const;
-
   GroupSamplerOptions options_;
 };
 

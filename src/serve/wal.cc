@@ -113,7 +113,12 @@ std::string SerializeServeState(const ServeStateSnapshot& state) {
   out += "grgad_serve_state_version 1\n";
   out += std::string("all_dirty ") + (state.all_dirty ? "1" : "0") + "\n";
   out += "dirty " + std::to_string(state.dirty_anchor_indices.size());
-  for (int i : state.dirty_anchor_indices) out += " " + std::to_string(i);
+  // Pieces are appended separately: `" " + std::to_string(i)` trips a
+  // GCC 12 -Wrestrict false positive.
+  for (int i : state.dirty_anchor_indices) {
+    out += ' ';
+    out += std::to_string(i);
+  }
   out += "\n";
   out += std::string("refresh_primed ") +
          (state.refresh_primed ? "1" : "0") + "\n";
@@ -123,7 +128,10 @@ std::string SerializeServeState(const ServeStateSnapshot& state) {
     out += "a " + std::to_string(groups.size()) + "\n";
     for (const auto& group : groups) {
       out += "g " + std::to_string(group.size());
-      for (int id : group) out += " " + std::to_string(id);
+      for (int id : group) {
+        out += ' ';
+        out += std::to_string(id);
+      }
       out += "\n";
     }
   }

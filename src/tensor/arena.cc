@@ -1,6 +1,5 @@
 #include "src/tensor/arena.h"
 
-#include <atomic>
 #include <cstring>
 #include <utility>
 
@@ -15,8 +14,6 @@ uint64_t ShapeKey(size_t rows, size_t cols) {
 }
 
 thread_local MatrixArena* g_current_arena = nullptr;
-
-std::atomic<bool> g_fast_path{true};
 
 }  // namespace
 
@@ -156,13 +153,5 @@ void Recycle(Matrix&& m) {
 }
 
 }  // namespace arena
-
-bool TrainingFastPathEnabled() {
-  return g_fast_path.load(std::memory_order_relaxed);
-}
-
-bool SetTrainingFastPath(bool enabled) {
-  return g_fast_path.exchange(enabled, std::memory_order_relaxed);
-}
 
 }  // namespace grgad

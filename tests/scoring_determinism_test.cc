@@ -1,12 +1,12 @@
-// Determinism contract of the rebuilt scoring stage (see PERF.md, "Scoring
+// Determinism contract of the scoring stage (see PERF.md, "Scoring
 // stage"):
 //   - every detector's scores are bitwise identical across GRGAD_THREADS
-//     and across repeated runs with the fast path on;
-//   - fast path vs seed path agree at the score-rank level for the
-//     GEMM-distance detectors (kNN, LOF) and bitwise for ECOD,
-//     IsolationForest, and GraphSNN;
+//     and across repeated runs;
+//   - the standalone reference detectors (src/od/reference_detectors.h)
+//     agree at the score-rank level for the GEMM-distance detectors (kNN,
+//     LOF) and bitwise for ECOD and GraphSNN;
 //   - kNN and LOF perform exactly ONE pairwise-distance sweep per FitScore
-//     on either path (the seed computed the full matrix twice);
+//     (the references compute the full matrix twice);
 //   - sharing one NeighborIndex across ensemble members changes nothing.
 #include <algorithm>
 #include <memory>
@@ -21,12 +21,10 @@
 #include "src/od/detector.h"
 #include "src/od/ecod.h"
 #include "src/od/ensemble.h"
-#include "src/od/iforest.h"
 #include "src/od/knn.h"
 #include "src/od/lof.h"
 #include "src/od/neighbor_index.h"
 #include "src/od/reference_detectors.h"
-#include "src/util/fastpath.h"
 #include "src/util/rng.h"
 #include "tests/kernel_test_util.h"
 
@@ -34,20 +32,6 @@ namespace grgad {
 namespace {
 
 using testing::ScopedDegree;
-
-/// Restores the scoring fast-path switch on scope exit.
-class ScopedScoringFastPath {
- public:
-  explicit ScopedScoringFastPath(bool enabled)
-      : prev_(SetScoringFastPath(enabled)) {}
-  ~ScopedScoringFastPath() { SetScoringFastPath(prev_); }
-
-  ScopedScoringFastPath(const ScopedScoringFastPath&) = delete;
-  ScopedScoringFastPath& operator=(const ScopedScoringFastPath&) = delete;
-
- private:
-  bool prev_;
-};
 
 /// Gaussian inliers + scattered far-away outliers, sized past one distance
 /// panel (256 rows) so the panel loop's seams are exercised.
@@ -75,7 +59,6 @@ std::vector<double> Scores(DetectorKind kind, const Matrix& x,
 
 TEST(ScoringDeterminismTest, BitwiseIdenticalAcrossThreadDegreesAndRuns) {
   const Matrix x = PlantedEmbeddings(101);
-  ScopedScoringFastPath fast(true);
   for (DetectorKind kind : AllDetectorKinds()) {
     std::vector<double> at_one, at_four, again;
     {
@@ -92,90 +75,71 @@ TEST(ScoringDeterminismTest, BitwiseIdenticalAcrossThreadDegreesAndRuns) {
   }
 }
 
-TEST(ScoringDeterminismTest, FastPathMatchesSeedPathAtRankLevel) {
+TEST(ScoringDeterminismTest, KnnAndLofMatchReferenceAtRankLevel) {
+  // GEMM distances differ from the references' scalar distances only in FP
+  // contraction, so the score ranks match exactly.
   const Matrix x = PlantedEmbeddings(102);
-  for (DetectorKind kind :
-       {DetectorKind::kKnn, DetectorKind::kLof, DetectorKind::kEcod,
-        DetectorKind::kIsolationForest, DetectorKind::kEnsemble}) {
-    std::vector<double> fast, seed;
-    {
-      ScopedScoringFastPath on(true);
-      fast = Scores(kind, x);
-    }
-    {
-      ScopedScoringFastPath off(false);
-      seed = Scores(kind, x);
-    }
-    EXPECT_EQ(RankNormalize(fast), RankNormalize(seed))
-        << DetectorKindName(kind);
+  for (int k : {5, 10}) {
+    EXPECT_EQ(RankNormalize(KnnDetector(k).FitScore(x)),
+              RankNormalize(reference::KnnFitScore(x, k)))
+        << "knn k=" << k;
+    EXPECT_EQ(RankNormalize(Lof(k).FitScore(x)),
+              RankNormalize(reference::LofFitScore(x, k)))
+        << "lof k=" << k;
   }
 }
 
-TEST(ScoringDeterminismTest, EcodFastPathBitwiseEqualsSeedPath) {
-  // ECOD's fast path reduces per-column contributions in ascending column
-  // order — the seed's exact accumulation — so it is bitwise, not merely
-  // rank, identical (the pipeline's default detector must not move).
-  const Matrix x = PlantedEmbeddings(103);
+TEST(ScoringDeterminismTest, EcodBitwiseEqualsReference) {
+  // ECOD reduces per-column contributions in ascending column order — the
+  // reference's exact accumulation — so it is bitwise, not merely rank,
+  // identical (the pipeline's default detector must not move). The
+  // degenerate shapes (one sample, one column) take the same path.
   Ecod ecod;
-  ScopedScoringFastPath on(true);
-  const auto fast = ecod.FitScore(x);
-  SetScoringFastPath(false);
-  const auto seed = ecod.FitScore(x);
-  EXPECT_EQ(fast, seed);
-  EXPECT_EQ(fast, reference::EcodFitScore(x));
-}
-
-TEST(ScoringDeterminismTest, IForestFastPathBitwiseEqualsSeedPath) {
-  // Per-tree RNG streams make the forest identical whether trees are built
-  // serially or across the pool.
-  const Matrix x = PlantedEmbeddings(104);
-  IsolationForestOptions options;
-  options.num_trees = 60;
-  options.seed = 9;
-  IsolationForest forest(options);
-  ScopedScoringFastPath on(true);
-  const auto fast = forest.FitScore(x);
-  SetScoringFastPath(false);
-  const auto seed = forest.FitScore(x);
-  EXPECT_EQ(fast, seed);
+  const Matrix planted = PlantedEmbeddings(103);
+  Rng rng(3);
+  for (const Matrix& x :
+       {planted, Matrix::Gaussian(1, 6, &rng), Matrix::Gaussian(40, 1, &rng),
+        Matrix::Gaussian(1, 1, &rng)}) {
+    for (int degree : {1, 4}) {
+      ScopedDegree scoped(degree);
+      EXPECT_EQ(ecod.FitScore(x), reference::EcodFitScore(x))
+          << x.rows() << "x" << x.cols() << " degree=" << degree;
+    }
+  }
 }
 
 TEST(ScoringDeterminismTest, KnnAndLofComputeDistancesExactlyOnce) {
   const Matrix x = PlantedEmbeddings(105, 60, 8, 4);
-  for (bool fast : {true, false}) {
-    ScopedScoringFastPath path(fast);
-    internal::ResetDistanceSweeps();
-    KnnDetector(5).FitScore(x);
-    EXPECT_EQ(internal::DistanceSweeps(), 1u) << "knn fast=" << fast;
-    internal::ResetDistanceSweeps();
-    Lof(10).FitScore(x);
-    EXPECT_EQ(internal::DistanceSweeps(), 1u) << "lof fast=" << fast;
-    // The shared-index ensemble adds no sweeps beyond its single build.
-    internal::ResetDistanceSweeps();
-    EnsembleDetector::MakeDefault(5)->FitScore(x);
-    EXPECT_EQ(internal::DistanceSweeps(), 1u) << "ensemble fast=" << fast;
-  }
+  internal::ResetDistanceSweeps();
+  KnnDetector(5).FitScore(x);
+  EXPECT_EQ(internal::DistanceSweeps(), 1u) << "knn";
+  internal::ResetDistanceSweeps();
+  Lof(10).FitScore(x);
+  EXPECT_EQ(internal::DistanceSweeps(), 1u) << "lof";
+  // The shared-index ensemble adds no sweeps beyond its single build.
+  internal::ResetDistanceSweeps();
+  EnsembleDetector::MakeDefault(5)->FitScore(x);
+  EXPECT_EQ(internal::DistanceSweeps(), 1u) << "ensemble";
 }
 
-TEST(ScoringDeterminismTest, FastIndexSelectsSeedNeighbors) {
+TEST(ScoringDeterminismTest, IndexSelectsReferenceNeighbors) {
   // GEMM distances differ from scalar distances only in FP contraction, so
   // on generic data the selected neighbor ids (and their order) match the
-  // seed selection exactly.
+  // reference selection exactly.
   const Matrix x = PlantedEmbeddings(106);
   const int k = 10;
-  ScopedScoringFastPath on(true);
   const NeighborIndex fast = BuildNeighborIndex(x, k);
-  const Matrix seed_dists = reference::PairwiseDistances(x);
-  const NeighborIndex seed = NeighborIndexFromDistances(seed_dists, k);
-  EXPECT_EQ(fast.ids, seed.ids);
+  const Matrix ref_dists = reference::PairwiseDistances(x);
+  const NeighborIndex ref = NeighborIndexFromDistances(ref_dists, k);
+  EXPECT_EQ(fast.ids, ref.ids);
   // The precomputed-distances overload (no sweep of its own) agrees with
-  // both the index and the seed double-sweep KNearestNeighbors.
+  // both the index and the reference double-sweep KNearestNeighbors.
   internal::ResetDistanceSweeps();
-  const auto from_dists = KNearestNeighborsFromDistances(seed_dists, k);
+  const auto from_dists = KNearestNeighborsFromDistances(ref_dists, k);
   EXPECT_EQ(internal::DistanceSweeps(), 0u);
-  const auto seed_lists = reference::KNearestNeighbors(x, k);
-  ASSERT_EQ(from_dists.size(), seed_lists.size());
-  EXPECT_EQ(from_dists, seed_lists);
+  const auto ref_lists = reference::KNearestNeighbors(x, k);
+  ASSERT_EQ(from_dists.size(), ref_lists.size());
+  EXPECT_EQ(from_dists, ref_lists);
   // A k-consumer reading a prefix of a larger shared index sees exactly its
   // own index.
   const NeighborIndex wide = BuildNeighborIndex(x, 2 * k);
@@ -187,9 +151,8 @@ TEST(ScoringDeterminismTest, FastIndexSelectsSeedNeighbors) {
   }
 }
 
-TEST(ScoringDeterminismTest, PairwiseDistancesFastPathSymmetricZeroDiag) {
+TEST(ScoringDeterminismTest, PairwiseDistancesSymmetricZeroDiag) {
   const Matrix x = PlantedEmbeddings(107);
-  ScopedScoringFastPath on(true);
   const Matrix d = PairwiseDistances(x);
   for (size_t i = 0; i < x.rows(); i += 37) {
     EXPECT_EQ(d(i, i), 0.0);
@@ -197,7 +160,7 @@ TEST(ScoringDeterminismTest, PairwiseDistancesFastPathSymmetricZeroDiag) {
       EXPECT_EQ(d(i, j), d(j, i));
     }
   }
-  // Within FP-contraction tolerance of the scalar seed distances.
+  // Within FP-contraction tolerance of the scalar reference distances.
   EXPECT_TRUE(d.ApproxEquals(reference::PairwiseDistances(x), 1e-9));
 }
 
@@ -206,7 +169,6 @@ TEST(ScoringDeterminismTest, SharedIndexMatchesStandaloneMembers) {
   // exactly the scores the members produce standalone (each building its
   // own index).
   const Matrix x = PlantedEmbeddings(108, 150, 20, 6);
-  ScopedScoringFastPath on(true);
   std::vector<std::unique_ptr<OutlierDetector>> members;
   members.push_back(std::make_unique<KnnDetector>(5));
   members.push_back(std::make_unique<Lof>(10));
@@ -221,20 +183,14 @@ TEST(ScoringDeterminismTest, SharedIndexMatchesStandaloneMembers) {
   }
 }
 
-TEST(ScoringDeterminismTest, GraphSnnOptMatchesSeedOnExampleGraph) {
+TEST(ScoringDeterminismTest, GraphSnnMatchesReferenceOnExampleGraph) {
   const Dataset d = GenExampleGraph({});
-  std::vector<double> fast, seed;
-  {
-    ScopedScoringFastPath on(true);
-    ScopedDegree degree(4);
-    fast = GraphSnnEdgeWeights(d.graph, 1.0);
+  const std::vector<double> want =
+      reference::GraphSnnEdgeWeights(d.graph, 1.0);
+  for (int degree : {1, 4}) {
+    ScopedDegree scoped(degree);
+    EXPECT_EQ(GraphSnnEdgeWeights(d.graph, 1.0), want) << degree;
   }
-  {
-    ScopedScoringFastPath off(false);
-    seed = GraphSnnEdgeWeights(d.graph, 1.0);
-  }
-  EXPECT_EQ(fast, seed);
-  EXPECT_EQ(fast, reference::GraphSnnEdgeWeights(d.graph, 1.0));
 }
 
 TEST(ScoringDeterminismTest, ScoringStageProfileEmitsSubStageTimings) {

@@ -1,9 +1,9 @@
 // End-to-end training determinism: the arena-backed autograd, fused
 // bias+ReLU, and fused optimizer paths must produce training outputs (loss
-// history, embeddings, per-node errors) byte-identical to the seed
-// implementation, invariant across thread counts, and invariant to the
-// fast-path switch. The AVX-512 golden hashes below pin today's exact bytes
-// so a future change that silently shifts training numerics fails loudly.
+// history, embeddings, per-node errors) byte-identical to the pre-arena
+// implementation and invariant across thread counts. The golden hashes
+// below pin those exact bytes so a change that silently shifts training
+// numerics fails loudly.
 #include <cstdint>
 #include <cstring>
 #include <vector>
@@ -16,7 +16,6 @@
 #include "src/gcl/tpgcl.h"
 #include "src/nn/layers.h"
 #include "src/nn/optim.h"
-#include "src/tensor/arena.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 
@@ -108,35 +107,22 @@ TEST(TrainingDeterminismTest, OutputsInvariantAcrossThreadCounts) {
   EXPECT_EQ(DeepAeFingerprint(), deepae1);
 }
 
-TEST(TrainingDeterminismTest, FastPathMatchesSeedPathBitwise) {
-  // Fast path off = the seed behavior: fresh heap matrices every epoch,
-  // unfused bias+ReLU, serial optimizer loops, gradient buffers freed by
-  // ZeroGrad. Outputs must not change by a single byte either way.
-  const uint64_t fast_gae = GaeFingerprint();
-  const uint64_t fast_tpgcl = TpgclFingerprint();
-  const uint64_t fast_deepae = DeepAeFingerprint();
-  ASSERT_TRUE(SetTrainingFastPath(false));
-  const uint64_t seed_gae = GaeFingerprint();
-  const uint64_t seed_tpgcl = TpgclFingerprint();
-  const uint64_t seed_deepae = DeepAeFingerprint();
-  SetTrainingFastPath(true);
-  EXPECT_EQ(fast_gae, seed_gae);
-  EXPECT_EQ(fast_tpgcl, seed_tpgcl);
-  EXPECT_EQ(fast_deepae, seed_deepae);
-}
-
-// Golden values captured from the pre-arena implementation (PR 2 tree) on
-// the reference container, identical at GRGAD_THREADS=1 and 4. They pin the
-// exact training bytes: any numerics change — reordered accumulation,
-// different fusion, altered sampling — trips these. Two sets:
+// Golden values captured from the pre-arena implementation on the
+// reference container, identical at GRGAD_THREADS=1 and 4. That
+// implementation is the seed behavior the fused paths replaced — fresh
+// heap matrices every epoch, unfused bias+ReLU, serial optimizer loops,
+// gradient buffers freed by ZeroGrad — so these literals are its bytes and
+// stand in for a side-by-side comparison with it. They pin the exact
+// training bytes: any numerics change — reordered accumulation, different
+// fusion, altered sampling — trips these. Two sets:
 //  - Without FMA (e.g. the CI build, GRGAD_NATIVE_ARCH=OFF): every double
 //    op rounds individually, so results are bitwise stable across
 //    compilers and vector widths — these literals hold on any x86-64.
 //  - AVX-512 (-march=native -mprefer-vector-width=512, the default local
 //    build): FMA contraction changes the bytes; these literals assume the
 //    reference container's GCC. On other FMA ISAs (plain AVX2) the exact
-//    literal check is skipped; the cross-thread and fast-path tests above
-//    still cover every build.
+//    literal check is skipped; the cross-thread test above and the fused
+//    bias+ReLU test below still cover every build.
 #if defined(__AVX512F__) || !defined(__FMA__)
 TEST(TrainingDeterminismTest, MatchesPreArenaGoldenBytes) {
 #if defined(__AVX512F__)

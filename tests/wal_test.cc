@@ -451,8 +451,7 @@ TEST(WalTest, RecoveryReplaysTheWalTailBitwise) {
   };
 
   // The reference daemon never crashes and is never durable.
-  auto reference = std::make_unique<ServeDaemon>(
-      TestDataset().graph, TrainedArtifacts(), ServeOptions{QuickOptions()});
+  auto reference = MakeDaemon(/*state_dir=*/"");
   std::vector<std::string> reference_responses;
   for (const std::string& op : ops) {
     reference_responses.push_back(Exec(reference.get(), op));
@@ -494,8 +493,7 @@ TEST(WalTest, SnapshotPlusWalTailRestartsBitwise) {
       EdgeOp(5, false, edges[1].first, edges[1].second),
   };
 
-  auto reference = std::make_unique<ServeDaemon>(
-      TestDataset().graph, TrainedArtifacts(), ServeOptions{QuickOptions()});
+  auto reference = MakeDaemon(/*state_dir=*/"");
   for (const std::string& op : before_snapshot) (void)Exec(reference.get(), op);
   for (const std::string& op : after_snapshot) (void)Exec(reference.get(), op);
 
@@ -534,8 +532,7 @@ TEST(WalTest, StaleSnapshotSkipsWalRecordsItAlreadyCovers) {
   };
   const std::string tail = EdgeOp(3, true, edges[1].first, edges[1].second);
 
-  auto reference = std::make_unique<ServeDaemon>(
-      TestDataset().graph, TrainedArtifacts(), ServeOptions{QuickOptions()});
+  auto reference = MakeDaemon(/*state_dir=*/"");
   for (const std::string& op : covered) (void)Exec(reference.get(), op);
   (void)Exec(reference.get(), tail);
 
@@ -585,8 +582,7 @@ TEST(WalTest, CorruptWalTailRecoversToLastValidStateWithDataLossNote) {
   const auto edges = AbsentEdges(2);
 
   // Reference: only the first mutation — the second will be destroyed.
-  auto reference = std::make_unique<ServeDaemon>(
-      TestDataset().graph, TrainedArtifacts(), ServeOptions{QuickOptions()});
+  auto reference = MakeDaemon(/*state_dir=*/"");
   (void)Exec(reference.get(),
              EdgeOp(1, true, edges[0].first, edges[0].second));
 
