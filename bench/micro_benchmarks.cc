@@ -307,7 +307,7 @@ std::vector<KernelResult> CompareKernels() {
   }
 
   // Elementwise map: the seed's per-element std::function dispatch vs the
-  // inlined MapFn fast path used by autograd's ReLU/Sigmoid/Tanh.
+  // inlined MapFn fast path used by autograd's ReLU/Sigmoid.
   {
     Matrix x = RandomMatrix(2048, 256, 27);
     const std::function<double(double)> relu = [](double v) {

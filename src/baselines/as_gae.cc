@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 
+#include "src/baselines/group_extraction.h"
 #include "src/graph/algorithms.h"
 
 namespace grgad {
@@ -45,16 +46,8 @@ std::vector<ScoredGroup> AsGae::DetectGroups(const Graph& g) const {
   std::sort(closure.begin(), closure.end());
   std::vector<ScoredGroup> out;
   for (auto& component : ComponentsOfSubset(g, closure)) {
-    if (static_cast<int>(component.size()) > options_.max_group_size) {
-      std::sort(component.begin(), component.end(),
-                [&scores](int a, int b) { return scores[a] > scores[b]; });
-      component.resize(options_.max_group_size);
-      std::sort(component.begin(), component.end());
-    }
-    double mean_score = 0.0;
-    for (int v : component) mean_score += scores[v];
-    mean_score /= static_cast<double>(component.size());
-    out.push_back({std::move(component), mean_score});
+    out.push_back(CapAndScoreGroup(std::move(component), scores,
+                                   options_.max_group_size));
   }
   return out;
 }

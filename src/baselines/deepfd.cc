@@ -4,10 +4,10 @@
 #include <cmath>
 #include <deque>
 
+#include "src/baselines/group_extraction.h"
 #include "src/metrics/classification.h"
 #include "src/nn/layers.h"
-#include "src/nn/optim.h"
-#include "src/tensor/arena.h"
+#include "src/nn/train_loop.h"
 #include "src/util/rng.h"
 
 namespace grgad {
@@ -74,9 +74,7 @@ std::vector<ScoredGroup> DeepFd::DetectGroups(const Graph& g) const {
   const int d = static_cast<int>(g.attr_dim());
   Rng rng(options_.seed ^ 0x64656664ULL);
 
-  // Declared before any Var; see GcnGae::Fit.
-  MatrixArena local_arena;
-  ArenaScope arena_scope(&local_arena);
+  TrainSession session;
 
   // --- Embedding model: MLP encoder + decoder (no graph propagation; the
   // structure enters through the pairwise similarity loss). ---
@@ -87,14 +85,6 @@ std::vector<ScoredGroup> DeepFd::DetectGroups(const Graph& g) const {
                static_cast<size_t>(options_.hidden_dim),
                static_cast<size_t>(d)},
               &rng);
-  std::vector<Var> params;
-  for (const auto& layer_params : {encoder.Params(), decoder.Params()}) {
-    params.insert(params.end(), layer_params.begin(), layer_params.end());
-  }
-  AdamOptions adam_options;
-  adam_options.lr = options_.lr;
-  adam_options.clip_grad_norm = 5.0;
-  Adam adam(params, adam_options);
 
   // Pairs: edges (similar) + sampled non-edges (dissimilar).
   std::vector<std::pair<int, int>> pairs;
@@ -104,16 +94,9 @@ std::vector<ScoredGroup> DeepFd::DetectGroups(const Graph& g) const {
     pairs.resize(options_.max_pairs / 2);
   }
   const size_t num_pos = pairs.size();
-  size_t added = 0, guard = 0;
-  const size_t num_neg = num_pos * options_.neg_per_pos;
-  while (added < num_neg && guard < num_neg * 30 + 100) {
-    ++guard;
-    const int u = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
-    const int v = static_cast<int>(rng.UniformInt(static_cast<uint64_t>(n)));
-    if (u >= v || g.HasEdge(u, v)) continue;
-    pairs.emplace_back(u, v);
-    ++added;
-  }
+  SampleNegativePairs(
+      n, num_pos * options_.neg_per_pos,
+      [&g](int u, int v) { return g.HasEdge(u, v); }, &rng, &pairs);
   Matrix pair_targets(pairs.size(), 1);
   for (size_t p = 0; p < num_pos; ++p) pair_targets(p, 0) = 1.0;
   const auto shared_pairs =
@@ -122,47 +105,28 @@ std::vector<ScoredGroup> DeepFd::DetectGroups(const Graph& g) const {
 
   const Var x(g.attributes(), /*requires_grad=*/false);
   Matrix final_embed, final_recon, final_pred;
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    adam.ZeroGrad();
-    Var z = encoder.Forward(x);
-    Var recon = decoder.Forward(z);
-    Var loss_attr = MseLoss(recon, g.attributes());
-    Var pred = Sigmoid(PairInnerProduct(z, shared_pairs));
-    Var loss_pair = MseLoss(pred, pair_targets);
-    Var loss = Add(Scale(loss_pair, options_.pairwise_weight),
+  session.Run(
+      {encoder.Params(), decoder.Params()}, options_.epochs, options_.lr,
+      /*weight_decay=*/0.0, [&](int epoch) {
+        Var z = encoder.Forward(x);
+        Var recon = decoder.Forward(z);
+        Var loss_attr = MseLoss(recon, g.attributes());
+        Var pred = Sigmoid(PairInnerProduct(z, shared_pairs));
+        Var loss_pair = MseLoss(pred, pair_targets);
+        if (epoch + 1 == options_.epochs) {
+          final_embed = z.value();
+          final_recon = recon.value();
+          final_pred = pred.value();
+        }
+        return Add(Scale(loss_pair, options_.pairwise_weight),
                    Scale(loss_attr, 1.0 - options_.pairwise_weight));
-    loss.Backward();
-    adam.Step();
-    if (epoch + 1 == options_.epochs) {
-      final_embed = z.value();
-      final_recon = recon.value();
-      final_pred = pred.value();
-    }
-  }
+      });
 
   // Suspiciousness: attribute + pairwise reconstruction error.
-  std::vector<double> score(n, 0.0);
-  for (int i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (int j = 0; j < d; ++j) {
-      const double diff = final_recon(i, j) - g.attributes()(i, j);
-      s += diff * diff;
-    }
-    score[i] = std::sqrt(s);
-  }
-  std::vector<double> pair_err(n, 0.0);
-  std::vector<int> pair_count(n, 0);
-  for (size_t p = 0; p < shared_pairs->size(); ++p) {
-    const auto [i, j] = (*shared_pairs)[p];
-    const double err = std::fabs(final_pred(p, 0) - pair_targets(p, 0));
-    pair_err[i] += err;
-    pair_err[j] += err;
-    ++pair_count[i];
-    ++pair_count[j];
-  }
-  for (int i = 0; i < n; ++i) {
-    if (pair_count[i] > 0) score[i] += pair_err[i] / pair_count[i];
-  }
+  std::vector<double> score = RowL2Errors(final_recon, g.attributes());
+  const std::vector<double> pair_err =
+      MeanPairErrors(n, *shared_pairs, final_pred, pair_targets);
+  for (int i = 0; i < n; ++i) score[i] += pair_err[i];
 
   // Suspicious set -> DBSCAN over embeddings -> groups.
   const std::vector<int> labels =
@@ -207,16 +171,8 @@ std::vector<ScoredGroup> DeepFd::DetectGroups(const Graph& g) const {
   }
   for (auto& members : groups) {
     if (members.empty()) continue;
-    if (static_cast<int>(members.size()) > options_.max_group_size) {
-      std::sort(members.begin(), members.end(),
-                [&score](int a, int b) { return score[a] > score[b]; });
-      members.resize(options_.max_group_size);
-    }
-    std::sort(members.begin(), members.end());
-    double mean_score = 0.0;
-    for (int v : members) mean_score += score[v];
-    mean_score /= static_cast<double>(members.size());
-    out.push_back({std::move(members), mean_score});
+    out.push_back(
+        CapAndScoreGroup(std::move(members), score, options_.max_group_size));
   }
   return out;
 }

@@ -8,6 +8,23 @@
 
 namespace grgad {
 
+ScoredGroup CapAndScoreGroup(std::vector<int> members,
+                             const std::vector<double>& node_scores,
+                             int max_group_size) {
+  if (static_cast<int>(members.size()) > max_group_size) {
+    std::sort(members.begin(), members.end(),
+              [&node_scores](int a, int b) {
+                return node_scores[a] > node_scores[b];
+              });
+    members.resize(max_group_size);
+    std::sort(members.begin(), members.end());
+  }
+  double mean_score = 0.0;
+  for (int v : members) mean_score += node_scores[v];
+  mean_score /= static_cast<double>(members.size());
+  return {std::move(members), mean_score};
+}
+
 std::vector<ScoredGroup> ExtractGroupsFromNodeScores(
     const Graph& g, const std::vector<double>& node_scores,
     const GroupExtractionOptions& options) {
@@ -25,18 +42,8 @@ std::vector<ScoredGroup> ExtractGroupsFromNodeScores(
   std::vector<ScoredGroup> out;
   for (auto& component : ComponentsOfSubset(g, anomalous, ws.get())) {
     if (!options.keep_singletons && component.size() < 2) continue;
-    if (static_cast<int>(component.size()) > options.max_group_size) {
-      std::sort(component.begin(), component.end(),
-                [&node_scores](int a, int b) {
-                  return node_scores[a] > node_scores[b];
-                });
-      component.resize(options.max_group_size);
-      std::sort(component.begin(), component.end());
-    }
-    double mean_score = 0.0;
-    for (int v : component) mean_score += node_scores[v];
-    mean_score /= static_cast<double>(component.size());
-    out.push_back({std::move(component), mean_score});
+    out.push_back(CapAndScoreGroup(std::move(component), node_scores,
+                                   options.max_group_size));
   }
   return out;
 }

@@ -6,6 +6,7 @@
 #define GRGAD_BASELINES_GROUP_EXTRACTION_H_
 
 #include <memory>
+#include <vector>
 
 #include "src/core/group_detector.h"
 #include "src/gae/gae_base.h"
@@ -22,6 +23,13 @@ struct GroupExtractionOptions {
   /// Oversized components are truncated to this many highest-score nodes.
   int max_group_size = 64;
 };
+
+/// Scores a group by the mean node score of its members. A group larger
+/// than `max_group_size` is first cut to its highest-scoring members, kept
+/// in ascending node order. Shared by every group-level baseline.
+ScoredGroup CapAndScoreGroup(std::vector<int> members,
+                             const std::vector<double>& node_scores,
+                             int max_group_size);
 
 /// Thresholds scores, extracts components, scores each group by the mean
 /// node score of its members.

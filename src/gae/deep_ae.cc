@@ -4,8 +4,7 @@
 
 #include "src/graph/operators.h"
 #include "src/nn/layers.h"
-#include "src/nn/optim.h"
-#include "src/tensor/arena.h"
+#include "src/nn/train_loop.h"
 #include "src/util/rng.h"
 
 namespace grgad {
@@ -40,40 +39,22 @@ std::vector<double> DeepAe::FitNodeScores(const Graph& g) const {
     for (int j = 0; j < sp; ++j) irow[d + j] = srow[j];
   }
 
-  // Declared before any Var; see GcnGae::Fit.
-  MatrixArena local_arena;
-  ArenaScope arena_scope(&local_arena);
-
+  TrainSession session;
   const size_t in_dim = static_cast<size_t>(d + sp);
   Mlp autoencoder({in_dim, static_cast<size_t>(options_.hidden_dim),
                    static_cast<size_t>(options_.bottleneck_dim),
                    static_cast<size_t>(options_.hidden_dim), in_dim},
                   &rng);
-  AdamOptions adam_options;
-  adam_options.lr = options_.lr;
-  adam_options.clip_grad_norm = 5.0;
-  Adam adam(autoencoder.Params(), adam_options);
-
   const Var x(input, /*requires_grad=*/false);
   Matrix final_recon;
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    adam.ZeroGrad();
-    Var recon = autoencoder.Forward(x);
-    Var loss = MseLoss(recon, input);
-    loss.Backward();
-    adam.Step();
-    if (epoch + 1 == options_.epochs) final_recon = recon.value();
-  }
+  session.Run({autoencoder.Params()}, options_.epochs, options_.lr,
+              /*weight_decay=*/0.0, [&](int epoch) {
+                Var recon = autoencoder.Forward(x);
+                if (epoch + 1 == options_.epochs) final_recon = recon.value();
+                return MseLoss(recon, input);
+              });
 
-  std::vector<double> scores(n, 0.0);
-  for (int i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (size_t j = 0; j < in_dim; ++j) {
-      const double diff = final_recon(i, j) - input(i, j);
-      s += diff * diff;
-    }
-    scores[i] = std::sqrt(s);
-  }
+  std::vector<double> scores = RowL2Errors(final_recon, input);
   MinMaxNormalize(&scores);
   return scores;
 }

@@ -7,7 +7,7 @@
 #include "src/graph/graphsnn.h"
 #include "src/graph/operators.h"
 #include "src/nn/layers.h"
-#include "src/nn/optim.h"
+#include "src/nn/train_loop.h"
 #include "src/util/logging.h"
 #include "src/util/rng.h"
 
@@ -42,6 +42,56 @@ void MinMaxNormalize(std::vector<double>* v) {
   const double lo = *lo_it, hi = *hi_it;
   if (hi - lo < 1e-12) return;
   for (double& x : *v) x = (x - lo) / (hi - lo);
+}
+
+std::vector<double> RowL2Errors(const Matrix& pred, const Matrix& target) {
+  GRGAD_CHECK(pred.rows() == target.rows() && pred.cols() == target.cols());
+  std::vector<double> out(pred.rows(), 0.0);
+  for (size_t i = 0; i < pred.rows(); ++i) {
+    const double* prow = pred.RowPtr(i);
+    const double* trow = target.RowPtr(i);
+    double s = 0.0;
+    for (size_t j = 0; j < pred.cols(); ++j) {
+      const double diff = prow[j] - trow[j];
+      s += diff * diff;
+    }
+    out[i] = std::sqrt(s);
+  }
+  return out;
+}
+
+std::vector<double> MeanPairErrors(
+    int n, const std::vector<std::pair<int, int>>& pairs, const Matrix& pred,
+    const Matrix& target) {
+  GRGAD_CHECK(pred.rows() == pairs.size() && target.rows() == pairs.size());
+  std::vector<double> out(n, 0.0);
+  std::vector<int> count(n, 0);
+  for (size_t p = 0; p < pairs.size(); ++p) {
+    const auto [i, j] = pairs[p];
+    const double err = std::fabs(pred(p, 0) - target(p, 0));
+    out[i] += err;
+    out[j] += err;
+    ++count[i];
+    ++count[j];
+  }
+  for (int i = 0; i < n; ++i) {
+    if (count[i] > 0) out[i] /= count[i];
+  }
+  return out;
+}
+
+void SampleNegativePairs(int n, size_t count,
+                         const std::function<bool(int, int)>& present,
+                         Rng* rng, std::vector<std::pair<int, int>>* pairs) {
+  size_t added = 0, guard = 0;
+  while (added < count && guard < count * 30 + 100) {
+    ++guard;
+    const int u = static_cast<int>(rng->UniformInt(static_cast<uint64_t>(n)));
+    const int v = static_cast<int>(rng->UniformInt(static_cast<uint64_t>(n)));
+    if (u >= v || present(u, v)) continue;
+    pairs->emplace_back(u, v);
+    ++added;
+  }
 }
 
 namespace {
@@ -79,11 +129,11 @@ PairSet SamplePairs(const SparseMatrix& t, const GaeOptions& options,
   PairSet out;
   std::vector<double> values;
   // Packed (u, v) keys of the stored upper-triangle nonzeros: the
-  // negative-sampling rejection loop below probes membership once per
+  // SampleNegativePairs rejection loop probes membership once per
   // attempt, and on dense targets like A^7 the per-attempt t.At(u, v)
   // binary search made it O(attempts * log nnz(row)). One linear pass
-  // builds an O(1) probe; only u < v keys are ever queried (the loop skips
-  // u >= v draws), so lower-triangle/diagonal entries need not be stored.
+  // builds an O(1) probe; only u < v keys are ever queried (it rejects
+  // u >= v draws first), so lower-triangle/diagonal entries need not be stored.
   // Stored zeros are skipped to match At(u, v) != 0.0 exactly.
   std::unordered_set<uint64_t> present;
   present.reserve(t.nnz() / 2 + 1);
@@ -117,19 +167,13 @@ PairSet SamplePairs(const SparseMatrix& t, const GaeOptions& options,
     out.pairs = std::move(kept_pairs);
     values = std::move(kept_values);
   }
-  const size_t num_pos = out.pairs.size();
-  const size_t num_neg = num_pos * static_cast<size_t>(options.neg_per_pos);
-  size_t added = 0, guard = 0;
-  while (added < num_neg && guard < num_neg * 30 + 100) {
-    ++guard;
-    const int u = static_cast<int>(rng->UniformInt(static_cast<uint64_t>(n)));
-    const int v = static_cast<int>(rng->UniformInt(static_cast<uint64_t>(n)));
-    if (u >= v) continue;
-    if (present.count(pack(u, v)) != 0) continue;
-    out.pairs.emplace_back(u, v);
-    values.push_back(0.0);
-    ++added;
-  }
+  const size_t num_neg =
+      out.pairs.size() * static_cast<size_t>(options.neg_per_pos);
+  SampleNegativePairs(
+      n, num_neg,
+      [&](int u, int v) { return present.count(pack(u, v)) != 0; }, rng,
+      &out.pairs);
+  values.resize(out.pairs.size(), 0.0);
   out.targets = Matrix(out.pairs.size(), 1);
   for (size_t p = 0; p < out.pairs.size(); ++p) {
     out.targets(p, 0) = values[p];
@@ -148,16 +192,8 @@ GaeResult GcnGae::Fit(const Graph& g) const {
   const int d = static_cast<int>(g.attr_dim());
   Rng rng(options_.seed ^ 0x67616521ULL);
 
-  // Declared before any Var so every tape node (params included) is torn
-  // down before the arena; all matrix traffic below recycles through it.
-  MatrixArena local_arena;
-  MatrixArena* arena =
-      options_.arena != nullptr ? options_.arena : &local_arena;
-  ArenaScope arena_scope(arena);
-  if (options_.arena_byte_budget > 0) {
-    arena->SetByteBudget(options_.arena_byte_budget);
-  }
-  arena->SetStopToken(options_.cancel);
+  TrainSession session(options_.arena, options_.arena_byte_budget,
+                       &options_.cancel);
 
   const auto a_norm = NormalizedAdjacency(g);
   const SparseMatrix target = BuildTarget(g, options_);
@@ -176,67 +212,36 @@ GaeResult GcnGae::Fit(const Graph& g) const {
                 static_cast<size_t>(d)},
                &rng);
 
-  std::vector<Var> params;
-  for (const auto& layer_params :
-       {enc1.Params(), enc2.Params(), attr_dec.Params()}) {
-    params.insert(params.end(), layer_params.begin(), layer_params.end());
-  }
-  AdamOptions adam_options;
-  adam_options.lr = options_.lr;
-  adam_options.weight_decay = options_.weight_decay;
-  adam_options.clip_grad_norm = 5.0;
-  Adam adam(params, adam_options);
-
   const Var x(g.attributes(), /*requires_grad=*/false);
   GaeResult result;
-  result.loss_history.reserve(options_.epochs);
   Matrix final_z;
   Matrix final_x_hat;
   Matrix final_pred;
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    if (options_.cancel.stop_requested()) return result;
-    adam.ZeroGrad();
-    Var h = Relu(enc1.Forward(a_norm, x));
-    Var z = enc2.Forward(a_norm, h);
-    Var pred = Sigmoid(PairInnerProduct(z, shared_pairs));
-    Var loss_stru = MseLoss(pred, pair_set.targets);
-    Var x_hat = attr_dec.Forward(z);
-    Var loss_attr = MseLoss(x_hat, g.attributes());
-    Var loss = Add(Scale(loss_stru, options_.lambda),
+  const bool trained = session.Run(
+      {enc1.Params(), enc2.Params(), attr_dec.Params()}, options_.epochs,
+      options_.lr, options_.weight_decay,
+      [&](int epoch) {
+        Var h = Relu(enc1.Forward(a_norm, x));
+        Var z = enc2.Forward(a_norm, h);
+        Var pred = Sigmoid(PairInnerProduct(z, shared_pairs));
+        Var loss_stru = MseLoss(pred, pair_set.targets);
+        Var x_hat = attr_dec.Forward(z);
+        Var loss_attr = MseLoss(x_hat, g.attributes());
+        if (epoch + 1 == options_.epochs) {
+          final_z = z.value();
+          final_x_hat = x_hat.value();
+          final_pred = pred.value();
+        }
+        return Add(Scale(loss_stru, options_.lambda),
                    Scale(loss_attr, 1.0 - options_.lambda));
-    loss.Backward();
-    adam.Step();
-    result.loss_history.push_back(loss.item());
-    if (epoch + 1 == options_.epochs) {
-      final_z = z.value();
-      final_x_hat = x_hat.value();
-      final_pred = pred.value();
-    }
-  }
+      },
+      &result.loss_history);
+  if (!trained) return result;
 
   // Per-node reconstruction errors over the sampled pairs (Eqn. 1 / 3).
-  std::vector<double> stru(n, 0.0);
-  std::vector<int> stru_count(n, 0);
-  for (size_t p = 0; p < shared_pairs->size(); ++p) {
-    const auto [i, j] = (*shared_pairs)[p];
-    const double err = std::fabs(final_pred(p, 0) - pair_set.targets(p, 0));
-    stru[i] += err;
-    stru[j] += err;
-    ++stru_count[i];
-    ++stru_count[j];
-  }
-  for (int i = 0; i < n; ++i) {
-    if (stru_count[i] > 0) stru[i] /= stru_count[i];
-  }
-  std::vector<double> attr(n, 0.0);
-  for (int i = 0; i < n; ++i) {
-    double s = 0.0;
-    for (int j = 0; j < d; ++j) {
-      const double diff = final_x_hat(i, j) - g.attributes()(i, j);
-      s += diff * diff;
-    }
-    attr[i] = std::sqrt(s);
-  }
+  std::vector<double> stru =
+      MeanPairErrors(n, *shared_pairs, final_pred, pair_set.targets);
+  std::vector<double> attr = RowL2Errors(final_x_hat, g.attributes());
   result.structure_errors = stru;
   result.attribute_errors = attr;
   MinMaxNormalize(&stru);

@@ -14,8 +14,10 @@
 #ifndef GRGAD_GAE_GAE_BASE_H_
 #define GRGAD_GAE_GAE_BASE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/graph/graph.h"
@@ -24,6 +26,8 @@
 #include "src/util/cancel.h"
 
 namespace grgad {
+
+class Rng;
 
 /// Structure-reconstruction objective (Table IV columns).
 enum class ReconTarget {
@@ -68,9 +72,11 @@ struct GaeOptions {
   /// out the token must check its stop_reason() before consuming the
   /// result.
   CancelToken cancel;
-  /// Soft byte budget for the training arena (0 = unlimited). On breach the
-  /// arena fires `cancel` with StopReason::kResourceExhausted and the epoch
-  /// loop unwinds cleanly — see MatrixArena::SetByteBudget.
+  /// Soft byte budget for the training arena (0 = unlimited). Armed for
+  /// this fit only: 0 also clears a budget an earlier fit left on a shared
+  /// `arena`. On breach the arena fires `cancel` with
+  /// StopReason::kResourceExhausted and the epoch loop unwinds cleanly —
+  /// see MatrixArena::SetByteBudget.
   uint64_t arena_byte_budget = 0;
   /// Optional caller-owned buffer arena (must outlive Fit). When null, Fit
   /// installs a run-local arena; either way steady-state epochs reuse
@@ -114,6 +120,25 @@ class NodeScorer {
 
 /// Min-max normalizes v to [0, 1] in place (no-op for constant vectors).
 void MinMaxNormalize(std::vector<double>* v);
+
+// Reconstruction pieces shared by the autoencoder scorers (GcnGae, DeepAE,
+// ComGA, DeepFD).
+
+/// Per-row L2 reconstruction error ||pred_i - target_i|| (same shapes).
+std::vector<double> RowL2Errors(const Matrix& pred, const Matrix& target);
+
+/// Mean |pred_p - target_p| over the sampled pairs p touching each of the
+/// `n` nodes (0 for a node in no pair); `pred` and `target` are p x 1.
+std::vector<double> MeanPairErrors(
+    int n, const std::vector<std::pair<int, int>>& pairs, const Matrix& pred,
+    const Matrix& target);
+
+/// Appends up to `count` negative pairs (u, v), u < v, drawn uniformly over
+/// the `n` nodes and rejected when `present(u, v)`, to `pairs`. Gives up
+/// after count * 30 + 100 draws, so a near-complete target can yield fewer.
+void SampleNegativePairs(int n, size_t count,
+                         const std::function<bool(int, int)>& present,
+                         Rng* rng, std::vector<std::pair<int, int>>* pairs);
 
 }  // namespace grgad
 

@@ -6,7 +6,7 @@
 #include "src/graph/operators.h"
 #include "src/graph/subgraph_view.h"
 #include "src/nn/layers.h"
-#include "src/nn/optim.h"
+#include "src/nn/train_loop.h"
 #include "src/gcl/mine.h"
 #include "src/util/logging.h"
 
@@ -156,15 +156,8 @@ TpgclResult Tpgcl::FitEmbed(
   const int d = static_cast<int>(host.attr_dim());
   Rng rng(options_.seed ^ 0x7470676cULL);
 
-  // Declared before any Var; see GcnGae::Fit.
-  MatrixArena local_arena;
-  MatrixArena* arena =
-      options_.arena != nullptr ? options_.arena : &local_arena;
-  ArenaScope arena_scope(arena);
-  if (options_.arena_byte_budget > 0) {
-    arena->SetByteBudget(options_.arena_byte_budget);
-  }
-  arena->SetStopToken(options_.cancel);
+  TrainSession session(options_.arena, options_.arena_byte_budget,
+                       &options_.cancel);
 
   // --- Views: pattern search + one PPA and one PBA view per group. A
   // single retargeted SubgraphView stands in for per-group InducedSubgraph
@@ -190,15 +183,6 @@ TpgclResult Tpgcl::FitEmbed(
   GcnLayer enc1(d, options_.hidden_dim, &rng);
   GcnLayer enc2(options_.hidden_dim, options_.embed_dim, &rng);
   MineEstimator phi(options_.embed_dim, options_.mine_hidden, &rng);
-  std::vector<Var> params;
-  for (const auto& layer_params :
-       {enc1.Params(), enc2.Params(), phi.Params()}) {
-    params.insert(params.end(), layer_params.begin(), layer_params.end());
-  }
-  AdamOptions adam_options;
-  adam_options.lr = options_.lr;
-  adam_options.clip_grad_norm = 5.0;
-  Adam adam(params, adam_options);
 
   auto encode = [&](const GraphBatch& batch) {
     Var x(batch.x, /*requires_grad=*/false);
@@ -208,17 +192,17 @@ TpgclResult Tpgcl::FitEmbed(
   };
 
   TpgclResult result;
-  result.loss_history.reserve(options_.epochs);
-  for (int epoch = 0; epoch < options_.epochs; ++epoch) {
-    if (options_.cancel.stop_requested()) return result;
-    adam.ZeroGrad();
-    Var z_pos = encode(pos_batch);
-    Var z_neg = encode(neg_batch);
-    Var loss = MineLoss(phi, z_pos, z_neg, options_.neg_per_sample, &rng);
-    loss.Backward();
-    adam.Step();
-    result.loss_history.push_back(loss.item());
-  }
+  const bool trained = session.Run(
+      {enc1.Params(), enc2.Params(), phi.Params()}, options_.epochs,
+      options_.lr, /*weight_decay=*/0.0,
+      [&](int) {
+        Var z_pos = encode(pos_batch);
+        Var z_neg = encode(neg_batch);
+        return MineLoss(phi, z_pos, z_neg, options_.neg_per_sample, &rng);
+      },
+      &result.loss_history);
+  if (!trained) return result;
+
   // Final embeddings of the *original* candidate groups.
   result.embeddings = encode(orig_batch).value();
   GRGAD_LOG(kDebug) << "TPGCL trained on " << m << " groups, final loss="

@@ -323,9 +323,9 @@ Var AddRowBroadcast(const Var& a, const Var& bias) {
 // The elementwise ops below use Matrix::MapToFn / flat loops over data()
 // rather than the std::function Map: these run every epoch over n_nodes x
 // hidden activations and an indirect call per element is measurable.
-// Sigmoid/Tanh/Exp backward closures read the op output straight off their
-// own node (raw self pointer; the closure is owned by the node and only
-// runs while it is alive) instead of capturing a per-epoch copy.
+// Sigmoid's backward closure reads the op output straight off its own node
+// (raw self pointer; the closure is owned by the node and only runs while
+// it is alive) instead of capturing a per-epoch copy.
 
 Var Relu(const Var& a) {
   Matrix out = AcquireUninit(a.rows(), a.cols());
@@ -368,76 +368,6 @@ Var Sigmoid(const Var& a) {
     };
   }
   return AutogradOps::Wrap(std::move(n));
-}
-
-Var Tanh(const Var& a) {
-  Matrix out = AcquireUninit(a.rows(), a.cols());
-  a.value().MapToFn(&out, [](double v) { return std::tanh(v); });
-  auto an = AutogradOps::node(a);
-  auto n = internal::NewInteriorNode(std::move(out), {a});
-  if (n->requires_grad) {
-    VarNode* self = n.get();
-    n->backward_fn = [an, self](const Matrix& g) {
-      if (!an->requires_grad) return;
-      Matrix gg = AcquireCopyOf(g);
-      double* __restrict gd = gg.data();
-      const double* __restrict td = self->value.data();
-      const size_t size = gg.size();
-      for (size_t i = 0; i < size; ++i) {
-        gd[i] *= 1.0 - td[i] * td[i];
-      }
-      an->AccumulateGrad(std::move(gg));
-      ReleaseScratch(std::move(gg));
-    };
-  }
-  return AutogradOps::Wrap(std::move(n));
-}
-
-Var Exp(const Var& a) {
-  Matrix out = AcquireUninit(a.rows(), a.cols());
-  a.value().MapToFn(&out, [](double v) { return std::exp(v); });
-  auto an = AutogradOps::node(a);
-  auto n = internal::NewInteriorNode(std::move(out), {a});
-  if (n->requires_grad) {
-    VarNode* self = n.get();
-    n->backward_fn = [an, self](const Matrix& g) {
-      if (!an->requires_grad) return;
-      Matrix gg = AcquireUninit(g.rows(), g.cols());
-      HadamardInto(g, self->value, &gg);
-      an->AccumulateGrad(std::move(gg));
-      ReleaseScratch(std::move(gg));
-    };
-  }
-  return AutogradOps::Wrap(std::move(n));
-}
-
-Var Log(const Var& a, double eps) {
-  Matrix out = AcquireUninit(a.rows(), a.cols());
-  a.value().MapToFn(&out, [eps](double v) { return std::log(v + eps); });
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a}, [an, eps](const Matrix& g) {
-    if (!an->requires_grad) return;
-    Matrix gg = AcquireCopyOf(g);
-    double* __restrict gd = gg.data();
-    const double* __restrict xd = an->value.data();
-    const size_t size = gg.size();
-    for (size_t i = 0; i < size; ++i) gd[i] /= (xd[i] + eps);
-    an->AccumulateGrad(std::move(gg));
-    ReleaseScratch(std::move(gg));
-  });
-}
-
-Var Transpose(const Var& a) {
-  Matrix out = AcquireUninit(a.cols(), a.rows());
-  TransposeInto(a.value(), &out);
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a}, [an](const Matrix& g) {
-    if (!an->requires_grad) return;
-    Matrix gg = AcquireUninit(g.cols(), g.rows());
-    TransposeInto(g, &gg);
-    an->AccumulateGrad(std::move(gg));
-    ReleaseScratch(std::move(gg));
-  });
 }
 
 Var SumAll(const Var& a) {
@@ -507,39 +437,6 @@ Var MseLoss(const Var& pred, const Matrix& target) {
   });
 }
 
-Var WeightedMseLoss(const Var& pred, const Matrix& target,
-                    const Matrix& weights) {
-  GRGAD_CHECK(pred.rows() == target.rows() && pred.cols() == target.cols());
-  GRGAD_CHECK(pred.rows() == weights.rows() && pred.cols() == weights.cols());
-  const Matrix& p = pred.value();
-  double s = 0.0;
-  for (size_t i = 0; i < p.rows(); ++i) {
-    const double* prow = p.RowPtr(i);
-    const double* trow = target.RowPtr(i);
-    const double* wrow = weights.RowPtr(i);
-    for (size_t j = 0; j < p.cols(); ++j) {
-      const double d = prow[j] - trow[j];
-      s += wrow[j] * d * d;
-    }
-  }
-  const double n = static_cast<double>(p.size());
-  Matrix out = AcquireUninit(1, 1);
-  out(0, 0) = s / n;
-  auto pn = AutogradOps::node(pred);
-  const Matrix* tp = &target;   // Lifetime contract in the header.
-  const Matrix* wp = &weights;
-  return MakeOpNode(std::move(out), {pred},
-                    [pn, tp, wp, n](const Matrix& g) {
-                      if (!pn->requires_grad) return;
-                      Matrix gg = AcquireCopyOf(pn->value);
-                      gg.SubInPlace(*tp);
-                      gg.MulInPlace(*wp);
-                      gg *= 2.0 * g(0, 0) / n;
-                      pn->AccumulateGrad(std::move(gg));
-                      ReleaseScratch(std::move(gg));
-                    });
-}
-
 Var GatherRows(const Var& a, std::vector<int> rows) {
   Matrix out = AcquireUninit(rows.size(), a.cols());
   a.value().GatherRowsInto(rows, &out);
@@ -556,54 +453,6 @@ Var GatherRows(const Var& a, std::vector<int> rows) {
                       }
                       an->AccumulateGrad(std::move(gg));
                       ReleaseScratch(std::move(gg));
-                    });
-}
-
-Var MeanRows(const Var& a) {
-  GRGAD_CHECK_GT(a.rows(), 0u);
-  const size_t r = a.rows(), c = a.cols();
-  Matrix out = AcquireZeroed(1, c);
-  for (size_t i = 0; i < r; ++i) {
-    const double* row = a.value().RowPtr(i);
-    for (size_t j = 0; j < c; ++j) out(0, j) += row[j];
-  }
-  out *= 1.0 / static_cast<double>(r);
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a}, [an, r, c](const Matrix& g) {
-    if (!an->requires_grad) return;
-    Matrix gg = AcquireUninit(r, c);
-    const double inv = 1.0 / static_cast<double>(r);
-    for (size_t i = 0; i < r; ++i) {
-      double* row = gg.RowPtr(i);
-      for (size_t j = 0; j < c; ++j) row[j] = g(0, j) * inv;
-    }
-    an->AccumulateGrad(std::move(gg));
-    ReleaseScratch(std::move(gg));
-  });
-}
-
-Var StackRows(const std::vector<Var>& rows) {
-  GRGAD_CHECK(!rows.empty());
-  const size_t c = rows[0].cols();
-  Matrix out = AcquireUninit(rows.size(), c);
-  for (size_t i = 0; i < rows.size(); ++i) {
-    GRGAD_CHECK_EQ(rows[i].rows(), 1u);
-    GRGAD_CHECK_EQ(rows[i].cols(), c);
-    std::memcpy(out.RowPtr(i), rows[i].value().RowPtr(0), c * sizeof(double));
-  }
-  std::vector<std::shared_ptr<VarNode>> nodes;
-  nodes.reserve(rows.size());
-  for (const Var& v : rows) nodes.push_back(AutogradOps::node(v));
-  return MakeOpNode(std::move(out), rows,
-                    [nodes = std::move(nodes), c](const Matrix& g) {
-                      for (size_t i = 0; i < nodes.size(); ++i) {
-                        if (!nodes[i]->requires_grad) continue;
-                        Matrix gi = AcquireUninit(1, c);
-                        std::memcpy(gi.RowPtr(0), g.RowPtr(i),
-                                    c * sizeof(double));
-                        nodes[i]->AccumulateGrad(std::move(gi));
-                        ReleaseScratch(std::move(gi));
-                      }
                     });
 }
 
@@ -640,27 +489,10 @@ Var ConcatCols(const Var& a, const Var& b) {
                     });
 }
 
-Var Reshape(const Var& a, size_t r, size_t c) {
-  GRGAD_CHECK_EQ(a.value().size(), r * c);
-  Matrix out = AcquireUninit(r, c);
-  std::memcpy(out.data(), a.value().data(),
-              a.value().size() * sizeof(double));
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a}, [an](const Matrix& g) {
-    if (!an->requires_grad) return;
-    Matrix gg = AcquireUninit(an->value.rows(), an->value.cols());
-    std::memcpy(gg.data(), g.data(), g.size() * sizeof(double));
-    an->AccumulateGrad(std::move(gg));
-    ReleaseScratch(std::move(gg));
-  });
-}
-
-namespace {
-
 using PairList = std::vector<std::pair<int, int>>;
 
-Var PairInnerProductImpl(const Var& z,
-                         std::shared_ptr<const PairList> pairs) {
+Var PairInnerProduct(const Var& z, std::shared_ptr<const PairList> pairs) {
+  GRGAD_CHECK(pairs != nullptr);
   const PairList& pl = *pairs;
   const Matrix& zv = z.value();
   Matrix out = AcquireUninit(pl.size(), 1);
@@ -696,38 +528,6 @@ Var PairInnerProductImpl(const Var& z,
                       zn->AccumulateGrad(std::move(gg));
                       ReleaseScratch(std::move(gg));
                     });
-}
-
-}  // namespace
-
-Var PairInnerProduct(const Var& z, std::vector<std::pair<int, int>> pairs) {
-  return PairInnerProductImpl(
-      z, std::make_shared<const PairList>(std::move(pairs)));
-}
-
-Var PairInnerProduct(const Var& z,
-                     std::shared_ptr<const PairList> pairs) {
-  GRGAD_CHECK(pairs != nullptr);
-  return PairInnerProductImpl(z, std::move(pairs));
-}
-
-Var DiagMean(const Var& a) {
-  GRGAD_CHECK_EQ(a.rows(), a.cols());
-  const size_t n = a.rows();
-  GRGAD_CHECK_GT(n, 0u);
-  Matrix out = AcquireUninit(1, 1);
-  double s = 0.0;
-  for (size_t i = 0; i < n; ++i) s += a.value()(i, i);
-  out(0, 0) = s / static_cast<double>(n);
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a}, [an, n](const Matrix& g) {
-    if (!an->requires_grad) return;
-    Matrix gg = AcquireZeroed(n, n);
-    const double gv = g(0, 0) / static_cast<double>(n);
-    for (size_t i = 0; i < n; ++i) gg(i, i) = gv;
-    an->AccumulateGrad(std::move(gg));
-    ReleaseScratch(std::move(gg));
-  });
 }
 
 Var MaskedLogSumExp(const Var& a, const std::vector<uint8_t>& mask) {

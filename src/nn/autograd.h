@@ -5,12 +5,13 @@
 // closure. Var::Backward() on a 1x1 loss runs the tape in reverse creation
 // order and accumulates gradients into every node with requires_grad set.
 //
-// The op set is exactly what the paper's models need: GCN layers
-// (Spmm/MatMul/bias/ReLU), autoencoder losses (Sigmoid/MSE/pairwise inner
-// products), TPGCL readout (GatherRows/MeanRows/StackRows), and the MINE
-// objective of Eqn. (8) (ConcatCols/Reshape/DiagMean/MaskedLogSumExp). Every
-// op's gradient is validated against finite differences in
-// tests/nn/autograd_test.cc.
+// The op set is what the paper's models call: GCN layers
+// (Spmm/MatMul/AddRowBroadcast/Relu), autoencoder losses
+// (Sigmoid/MseLoss/PairInnerProduct over sampled pairs), the MINE objective
+// of Eqn. (8) (GatherRows/ConcatCols/MeanAll/MaskedLogSumExp/AddScalar), and
+// Add/Scale to combine losses. Sub, Mul, SumAll and SumSquares serve the
+// gradient tests, which build their checks from them. Every op's gradient
+// is validated against finite differences in tests/autograd_test.cc.
 #ifndef GRGAD_NN_AUTOGRAD_H_
 #define GRGAD_NN_AUTOGRAD_H_
 
@@ -163,15 +164,6 @@ Var AddRowBroadcast(const Var& a, const Var& bias);
 Var Relu(const Var& a);
 /// Elementwise logistic sigmoid.
 Var Sigmoid(const Var& a);
-/// Elementwise tanh.
-Var Tanh(const Var& a);
-/// Elementwise exp.
-Var Exp(const Var& a);
-/// Elementwise log(x + eps); eps guards against log(0).
-Var Log(const Var& a, double eps = 1e-12);
-
-/// Transposed copy.
-Var Transpose(const Var& a);
 
 /// Sum of all entries -> 1x1.
 Var SumAll(const Var& a);
@@ -187,46 +179,19 @@ Var SumSquares(const Var& a);
 /// rvalue overload rejects temporaries at compile time.
 Var MseLoss(const Var& pred, const Matrix& target);
 Var MseLoss(const Var& pred, Matrix&& target) = delete;
-/// Per-entry weighted MSE against a constant target -> 1x1:
-/// mean(w .* (pred - target)^2). `weights` must match pred's shape.
-/// `target` and `weights` must outlive Backward() (see MseLoss;
-/// temporaries are rejected at compile time).
-Var WeightedMseLoss(const Var& pred, const Matrix& target,
-                    const Matrix& weights);
-Var WeightedMseLoss(const Var& pred, Matrix&& target,
-                    const Matrix& weights) = delete;
-Var WeightedMseLoss(const Var& pred, const Matrix& target,
-                    Matrix&& weights) = delete;
-Var WeightedMseLoss(const Var& pred, Matrix&& target, Matrix&& weights) =
-    delete;
 
 /// Gathers rows (duplicates allowed); backward scatter-adds.
 Var GatherRows(const Var& a, std::vector<int> rows);
 
-/// Column-wise mean over rows -> 1 x cols (graph readout).
-Var MeanRows(const Var& a);
-
-/// Stacks m Vars of shape 1 x d into an m x d matrix.
-Var StackRows(const std::vector<Var>& rows);
-
 /// Horizontal concatenation [a | b]; row counts must match.
 Var ConcatCols(const Var& a, const Var& b);
 
-/// Reinterprets the (row-major) data as r x c; element count must match.
-Var Reshape(const Var& a, size_t r, size_t c);
-
 /// out_p = dot(z[i_p], z[j_p]) for each pair -> p x 1. The inner-product
-/// structure decoder of GAE, evaluated only on sampled pairs.
-Var PairInnerProduct(const Var& z, std::vector<std::pair<int, int>> pairs);
-/// Shared-ownership overload: epoch loops that reuse one fixed pair list
-/// should build the shared_ptr once — the by-value overload copies the
-/// list into the tape on every call.
+/// structure decoder of GAE, evaluated only on sampled pairs. The pair list
+/// is shared, not copied, so an epoch loop builds it once.
 Var PairInnerProduct(
     const Var& z,
     std::shared_ptr<const std::vector<std::pair<int, int>>> pairs);
-
-/// Mean of the main diagonal of a square matrix -> 1x1.
-Var DiagMean(const Var& a);
 
 /// log(sum over entries with mask != 0 of exp(a_ij)) -> 1x1, computed
 /// stably. At least one entry must be masked in.

@@ -235,26 +235,6 @@ std::string ExactNumber(double v) {
   return buf;
 }
 
-std::string TopGroups(std::vector<ScoredGroup> groups, int top) {
-  std::stable_sort(groups.begin(), groups.end(),
-                   [](const ScoredGroup& a, const ScoredGroup& b) {
-                     return a.score > b.score;
-                   });
-  std::string out = "[";
-  const size_t limit = top < 0 ? 0 : static_cast<size_t>(top);
-  for (size_t i = 0; i < groups.size() && i < limit; ++i) {
-    if (i) out += ", ";
-    out += "{\"score\": " + ExactNumber(groups[i].score) + ", \"nodes\": [";
-    for (size_t k = 0; k < groups[i].nodes.size(); ++k) {
-      if (k) out += ", ";
-      out += std::to_string(groups[i].nodes[k]);
-    }
-    out += "]}";
-  }
-  out += "]";
-  return out;
-}
-
 std::string ResponseHead(int64_t id, const char* op, const char* status) {
   return "{\"id\": " + std::to_string(id) + ", \"op\": \"" + op +
          "\", \"status\": \"" + status + "\"";
@@ -292,6 +272,26 @@ std::string JsonEscapeText(const std::string& s) {
         }
     }
   }
+  return out;
+}
+
+std::string TopGroupsJson(std::vector<ScoredGroup> groups, int top) {
+  std::stable_sort(groups.begin(), groups.end(),
+                   [](const ScoredGroup& a, const ScoredGroup& b) {
+                     return a.score > b.score;
+                   });
+  std::string out = "[";
+  const size_t limit = top < 0 ? 0 : static_cast<size_t>(top);
+  for (size_t i = 0; i < groups.size() && i < limit; ++i) {
+    if (i) out += ", ";
+    out += "{\"score\": " + ExactNumber(groups[i].score) + ", \"nodes\": [";
+    for (size_t k = 0; k < groups[i].nodes.size(); ++k) {
+      if (k) out += ", ";
+      out += std::to_string(groups[i].nodes[k]);
+    }
+    out += "]}";
+  }
+  out += "]";
   return out;
 }
 
@@ -426,7 +426,7 @@ std::string RenderAnchorScoreResponse(int64_t id,
   out += ", \"num_anchors\": " + std::to_string(artifacts.anchors.size());
   out += ", \"num_groups\": " +
          std::to_string(artifacts.candidate_groups.size());
-  out += ", \"top_groups\": " + TopGroups(artifacts.scored_groups, top);
+  out += ", \"top_groups\": " + TopGroupsJson(artifacts.scored_groups, top);
   out += "}";
   return out;
 }
@@ -436,7 +436,7 @@ std::string RenderScoredGroupsResponse(int64_t id, ServeOp op,
                                        int top) {
   std::string out = ResponseHead(id, ServeOpName(op), "ok");
   out += ", \"num_groups\": " + std::to_string(scored.size());
-  out += ", \"top_groups\": " + TopGroups(scored, top);
+  out += ", \"top_groups\": " + TopGroupsJson(scored, top);
   out += "}";
   return out;
 }
@@ -459,7 +459,7 @@ std::string RenderRefreshResponse(int64_t id, size_t refreshed_anchors,
   out += ", \"refreshed_anchors\": " + std::to_string(refreshed_anchors);
   out += ", \"reused_anchors\": " + std::to_string(reused_anchors);
   out += ", \"num_groups\": " + std::to_string(scored.size());
-  out += ", \"top_groups\": " + TopGroups(scored, top);
+  out += ", \"top_groups\": " + TopGroupsJson(scored, top);
   out += "}";
   return out;
 }

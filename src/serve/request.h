@@ -75,6 +75,11 @@ Result<JsonValue> ParseJsonText(const std::string& text);
 /// Escapes `s` for embedding inside a JSON string literal (no quotes).
 std::string JsonEscapeText(const std::string& s);
 
+/// Renders the `top` highest-scoring groups (stable among ties) as a JSON
+/// array of {"score": s, "nodes": [...]}, scores at round-trip precision.
+/// Serve replies and `grgad run --json` share it.
+std::string TopGroupsJson(std::vector<ScoredGroup> groups, int top);
+
 // ---- requests ---------------------------------------------------------------
 
 enum class ServeOp {

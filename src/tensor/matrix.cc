@@ -165,10 +165,6 @@ Matrix Matrix::Map(const std::function<double(double)>& f) const {
   return MapFn(f);
 }
 
-void Matrix::MapInPlace(const std::function<double(double)>& f) {
-  MapInPlaceFn(f);
-}
-
 void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
 double Matrix::Sum() const {
@@ -202,14 +198,6 @@ std::vector<double> Matrix::RowSums() const {
   return out;
 }
 
-std::vector<double> Matrix::RowMeans() const {
-  std::vector<double> out = RowSums();
-  if (cols_ > 0) {
-    for (double& v : out) v /= static_cast<double>(cols_);
-  }
-  return out;
-}
-
 std::vector<double> Matrix::ColMeans() const {
   std::vector<double> out(cols_, 0.0);
   for (size_t i = 0; i < rows_; ++i) {
@@ -220,13 +208,6 @@ std::vector<double> Matrix::ColMeans() const {
     for (double& v : out) v /= static_cast<double>(rows_);
   }
   return out;
-}
-
-double Matrix::RowNorm(size_t i) const {
-  const double* row = RowPtr(i);
-  double s = 0.0;
-  for (size_t j = 0; j < cols_; ++j) s += row[j] * row[j];
-  return std::sqrt(s);
 }
 
 Matrix Matrix::GatherRows(const std::vector<int>& rows) const {

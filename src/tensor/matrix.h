@@ -105,8 +105,6 @@ class Matrix {
   /// Prefer MapFn when f is a lambda: the std::function overload costs an
   /// indirect call per element in the training hot path.
   Matrix Map(const std::function<double(double)>& f) const;
-  /// Applies f elementwise in place (see Map about MapInPlaceFn).
-  void MapInPlace(const std::function<double(double)>& f);
 
   /// Returns f applied elementwise, with f inlined into the loop (and the
   /// loop chunked over the thread pool for large matrices). Chunking only
@@ -125,20 +123,6 @@ class Matrix {
       });
     }
     return out;
-  }
-
-  /// In-place MapFn.
-  template <typename F>
-  void MapInPlaceFn(F&& f) {
-    double* __restrict d = data_.data();
-    const size_t size = data_.size();
-    if (size < 2 * kMapParallelGrain) {
-      for (size_t i = 0; i < size; ++i) d[i] = f(d[i]);
-    } else {
-      ParallelFor(size, kMapParallelGrain, [&](size_t begin, size_t end) {
-        for (size_t i = begin; i < end; ++i) d[i] = f(d[i]);
-      });
-    }
   }
 
   /// Destination-passing MapFn: writes f applied elementwise into `out`,
@@ -171,14 +155,10 @@ class Matrix {
   /// sqrt(sum of squares).
   double FrobeniusNorm() const;
 
-  /// Per-row sums / means, length rows().
+  /// Per-row sums, length rows().
   std::vector<double> RowSums() const;
-  std::vector<double> RowMeans() const;
   /// Per-column means, length cols().
   std::vector<double> ColMeans() const;
-
-  /// Euclidean norm of row i.
-  double RowNorm(size_t i) const;
 
   /// Gathers the given rows (duplicates allowed) into a new matrix.
   Matrix GatherRows(const std::vector<int>& rows) const;

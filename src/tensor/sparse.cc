@@ -233,19 +233,6 @@ SparseMatrix SparseMatrix::MaxNormalized() const {
   return Scaled(1.0 / m);
 }
 
-SparseMatrix SparseMatrix::Pruned(double eps) const {
-  std::vector<Triplet> t;
-  t.reserve(nnz());
-  for (size_t i = 0; i < rows_; ++i) {
-    for (size_t p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {
-      if (std::fabs(values_[p]) > eps) {
-        t.push_back({static_cast<int>(i), col_idx_[p], values_[p]});
-      }
-    }
-  }
-  return FromTriplets(rows_, cols_, std::move(t));
-}
-
 SparseMatrix SparseMatrix::Scaled(double s) const {
   SparseMatrix out = *this;
   for (double& v : out.values_) v *= s;

@@ -119,9 +119,6 @@ class SparseMatrix {
   /// Returns a copy scaled so the largest |value| is 1 (no-op when empty).
   SparseMatrix MaxNormalized() const;
 
-  /// Returns a copy with entries |v| <= eps removed.
-  SparseMatrix Pruned(double eps) const;
-
   /// Returns a copy with every stored value multiplied by s.
   SparseMatrix Scaled(double s) const;
 

@@ -85,41 +85,6 @@ double Rng::Normal(double mean, double stddev) {
 
 bool Rng::Bernoulli(double p) { return Uniform() < p; }
 
-int Rng::Poisson(double lambda) {
-  GRGAD_DCHECK(lambda >= 0.0);
-  if (lambda <= 0.0) return 0;
-  // Knuth inversion; fine for the small lambdas used by generators.
-  const double limit = std::exp(-lambda);
-  double prod = Uniform();
-  int k = 0;
-  while (prod > limit) {
-    prod *= Uniform();
-    ++k;
-  }
-  return k;
-}
-
-double Rng::Exponential(double rate) {
-  GRGAD_DCHECK(rate > 0.0);
-  double u = 0.0;
-  while (u == 0.0) u = Uniform();
-  return -std::log(u) / rate;
-}
-
-int Rng::PowerLaw(int k_min, int k_max, double alpha) {
-  GRGAD_CHECK(k_min >= 1 && k_max >= k_min);
-  // Inverse CDF of a bounded Pareto with exponent alpha > 1.
-  const double a = 1.0 - alpha;
-  const double lo = std::pow(static_cast<double>(k_min), a);
-  const double hi = std::pow(static_cast<double>(k_max) + 1.0, a);
-  const double u = Uniform();
-  const double x = std::pow(lo + (hi - lo) * u, 1.0 / a);
-  int k = static_cast<int>(x);
-  if (k < k_min) k = k_min;
-  if (k > k_max) k = k_max;
-  return k;
-}
-
 std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   GRGAD_CHECK_LE(k, n);
   // Partial Fisher–Yates over an index vector; O(n) setup, fine at our sizes.
@@ -131,21 +96,6 @@ std::vector<size_t> Rng::SampleWithoutReplacement(size_t n, size_t k) {
   }
   idx.resize(k);
   return idx;
-}
-
-size_t Rng::WeightedIndex(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) {
-    GRGAD_DCHECK(w >= 0.0);
-    total += w;
-  }
-  GRGAD_CHECK_GT(total, 0.0);
-  double r = Uniform() * total;
-  for (size_t i = 0; i < weights.size(); ++i) {
-    r -= weights[i];
-    if (r <= 0.0) return i;
-  }
-  return weights.size() - 1;  // Floating-point slack.
 }
 
 }  // namespace grgad

@@ -52,17 +52,6 @@ class Rng {
   /// Bernoulli draw with success probability p.
   bool Bernoulli(double p);
 
-  /// Poisson draw via inversion (suitable for small lambda).
-  int Poisson(double lambda);
-
-  /// Exponential draw with the given rate.
-  double Exponential(double rate);
-
-  /// Power-law-ish integer degree draw in [k_min, k_max] with exponent alpha,
-  /// via inverse-CDF sampling of a continuous Pareto then rounding. Used by
-  /// the scale-free transaction-graph generators.
-  int PowerLaw(int k_min, int k_max, double alpha);
-
   /// Fisher–Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>* v) {
@@ -75,10 +64,6 @@ class Rng {
 
   /// Samples k distinct indices from [0, n) (k <= n), in random order.
   std::vector<size_t> SampleWithoutReplacement(size_t n, size_t k);
-
-  /// Draws an index in [0, weights.size()) proportionally to weights.
-  /// Precondition: at least one weight is positive.
-  size_t WeightedIndex(const std::vector<double>& weights);
 
  private:
   uint64_t s_[4];

@@ -65,9 +65,7 @@ TEST(MatrixTest, Reductions) {
   EXPECT_DOUBLE_EQ(m.MaxAbs(), 4.0);
   EXPECT_DOUBLE_EQ(m.FrobeniusNorm(), std::sqrt(1 + 4 + 9 + 16.0));
   EXPECT_EQ(m.RowSums(), (std::vector<double>{-1.0, 7.0}));
-  EXPECT_EQ(m.RowMeans(), (std::vector<double>{-0.5, 3.5}));
   EXPECT_EQ(m.ColMeans(), (std::vector<double>{2.0, 1.0}));
-  EXPECT_DOUBLE_EQ(m.RowNorm(1), 5.0);
 }
 
 TEST(MatrixTest, GatherRowsAndSetRow) {
@@ -87,8 +85,6 @@ TEST(MatrixTest, MapAndApproxEquals) {
   EXPECT_TRUE(r.ApproxEquals(Matrix::FromRows({{1, 2}, {3, 4}}), 1e-12));
   EXPECT_FALSE(r.ApproxEquals(m));
   EXPECT_FALSE(r.ApproxEquals(Matrix(2, 3)));
-  m.MapInPlace([](double v) { return -v; });
-  EXPECT_DOUBLE_EQ(m(0, 0), -1.0);
 }
 
 TEST(MatrixTest, MatMulSmallKnownResult) {
@@ -215,9 +211,6 @@ TEST(MatrixTest, MapFnMatchesMapAndGoesParallel) {
   Matrix via_fn = m.MapFn([](double v) { return v * 2.0 + 1.0; });
   Matrix via_std = m.Map([](double v) { return v * 2.0 + 1.0; });
   EXPECT_TRUE(BitwiseEqual(via_fn, via_std));
-  Matrix in_place = m;
-  in_place.MapInPlaceFn([](double v) { return v * 2.0 + 1.0; });
-  EXPECT_TRUE(BitwiseEqual(in_place, via_fn));
 }
 
 TEST(MatrixTest, MatMulInsideParallelRegionIsSafe) {

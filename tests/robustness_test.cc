@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "src/core/artifacts.h"
+#include "src/core/method_registry.h"
 #include "src/core/pipeline.h"
 #include "src/core/run_context.h"
 #include "src/core/stages.h"
@@ -278,6 +279,20 @@ TEST(PipelineBudgetTest, TinyArenaBudgetUnwindsAsResourceExhausted) {
   const auto result = TpGrGad(options).TryRun(d.graph, &ctx);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(ctx.stop_reason(), StopReason::kResourceExhausted);
+}
+
+TEST(PipelineBudgetTest, TpgclArenaBudgetUnwindsAsResourceExhausted) {
+  const Dataset d = GenExampleGraph({});
+  TpGrGadOptions options = QuickOptions();
+  ASSERT_TRUE(
+      ApplyTpGrGadOverrides(&options, {"tpgcl.arena_byte_budget=1"}).ok());
+  RunContext ctx;
+  const auto result = TpGrGad(options).TryRun(d.graph, &ctx);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_NE(result.status().message().find("embedding"), std::string::npos)
+      << result.status().ToString();
   EXPECT_EQ(ctx.stop_reason(), StopReason::kResourceExhausted);
 }
 

@@ -313,6 +313,52 @@ TEST(ServeTest, PrewarmedWorkspacesServeFirstRequestAllocFree) {
   EXPECT_GT(reused->number, 0.0);
 }
 
+// ---- per-request arena budget -----------------------------------------------
+
+/// Executes one request line on `daemon`; the response bytes.
+std::string ExecuteLine(ServeDaemon* daemon, const std::string& line) {
+  auto request = ParseServeRequest(line);
+  EXPECT_TRUE(request.ok()) << request.status().ToString();
+  if (!request.ok()) return "";
+  Status status;
+  return daemon->Execute(request.value(), &status);
+}
+
+TEST(ServeTest, ArenaByteBudgetEndsWithItsRequest) {
+  // Both training stages share the daemon's arena. A budget that one
+  // request sets must not stay armed on it for the requests after it.
+  const std::string unbudgeted =
+      R"({"id": 2, "op": "anchor-score", "set": ["tpgcl.hidden_dim=32"]})";
+
+  // A budget the first request fits exactly: the arena's heap bytes after
+  // the same request without one.
+  auto probe = MakeDaemon(QuickOptions());
+  ASSERT_TRUE(ResponseOk(
+      ExecuteLine(probe.get(), R"({"id": 1, "op": "anchor-score"})")));
+  auto stats =
+      ParseJsonText(ExecuteLine(probe.get(), R"({"id": 9, "op": "stats"})"));
+  ASSERT_TRUE(stats.ok()) << stats.status().ToString();
+  const JsonValue* metrics = stats.value().Find("metrics");
+  ASSERT_NE(metrics, nullptr);
+  const JsonValue* arena = metrics->Find("arena");
+  ASSERT_NE(arena, nullptr);
+  const JsonValue* heap_bytes = arena->Find("heap_bytes");
+  ASSERT_NE(heap_bytes, nullptr);
+  ASSERT_GT(heap_bytes->number, 0.0);
+  const std::string budgeted =
+      R"({"id": 1, "op": "anchor-score", "set": ["mh_gae.arena_byte_budget=)" +
+      std::to_string(static_cast<uint64_t>(heap_bytes->number)) + R"("]})";
+
+  auto daemon = MakeDaemon(QuickOptions());
+  const std::string first = ExecuteLine(daemon.get(), budgeted);
+  EXPECT_TRUE(ResponseOk(first)) << first;
+  const std::string second = ExecuteLine(daemon.get(), unbudgeted);
+  EXPECT_TRUE(ResponseOk(second)) << second;
+
+  auto fresh = MakeDaemon(QuickOptions());
+  EXPECT_EQ(second, ExecuteLine(fresh.get(), unbudgeted));
+}
+
 // ---- graceful drain ---------------------------------------------------------
 
 TEST(ServeTest, ShutdownStopsAdmissionsButDrainsTheBacklog) {
@@ -376,6 +422,16 @@ TEST(ServeTest, ParseServeRequestValidates) {
       ParseServeRequest(R"({"id": 1, "op": "stats", "bogus": 1})").ok());
   EXPECT_FALSE(  // rescore requires a detector.
       ParseServeRequest(R"({"id": 1, "op": "rescore"})").ok());
+}
+
+TEST(ServeTest, TopGroupsJsonRanksAndKeepsFullPrecision) {
+  // Serve replies and `grgad run --json` both render through this: scores
+  // must survive the text bit for bit, as they do in the artifacts.
+  EXPECT_EQ(TopGroupsJson({{{4, 2}, 137.03549252268289}, {{1}, 0.5},
+                           {{3}, 200.0}},
+                          2),
+            R"([{"score": 200, "nodes": [3]}, )"
+            R"({"score": 137.03549252268289, "nodes": [4, 2]}])");
 }
 
 TEST(ServeTest, ParseServeRequestMutationOps) {

@@ -124,14 +124,6 @@ TEST(SparseTest, MaxNormalizedAndScaled) {
   EXPECT_EQ(empty.MaxNormalized().nnz(), 0u);
 }
 
-TEST(SparseTest, Pruned) {
-  SparseMatrix s = SparseMatrix::FromTriplets(
-      2, 2, {{0, 0, 1e-9}, {0, 1, 0.5}, {1, 1, -1e-9}});
-  SparseMatrix p = s.Pruned(1e-6);
-  EXPECT_EQ(p.nnz(), 1u);
-  EXPECT_DOUBLE_EQ(p.At(0, 1), 0.5);
-}
-
 TEST(SparseTest, ApproxEqualsHandlesExplicitZeros) {
   SparseMatrix a = SparseMatrix::FromTriplets(2, 2, {{0, 0, 1.0},
                                                      {0, 1, 0.0}});

@@ -4,14 +4,21 @@
 // implementation and invariant across thread counts. The golden hashes
 // below pin those exact bytes so a change that silently shifts training
 // numerics fails loudly.
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/baselines/as_gae.h"
+#include "src/baselines/deepfd.h"
+#include "src/baselines/group_extraction.h"
 #include "src/data/example_graph.h"
+#include "src/gae/comga.h"
 #include "src/gae/deep_ae.h"
+#include "src/gae/dominant.h"
 #include "src/gae/gae_base.h"
 #include "src/gcl/tpgcl.h"
 #include "src/nn/layers.h"
@@ -41,11 +48,16 @@ uint64_t HashMatrix(const Matrix& m, uint64_t h) {
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 
-/// One byte-exact fingerprint over every training output of a GAE fit.
-uint64_t GaeFingerprint() {
+/// The example graph every fingerprint below trains on.
+Dataset ExampleDataset() {
   DatasetOptions data_options;
   data_options.seed = 7;
-  const Dataset d = GenExampleGraph(data_options);
+  return GenExampleGraph(data_options);
+}
+
+/// One byte-exact fingerprint over every training output of a GAE fit.
+uint64_t GaeFingerprint() {
+  const Dataset d = ExampleDataset();
   GaeOptions options;
   options.epochs = 12;
   options.hidden_dim = 16;
@@ -63,9 +75,7 @@ uint64_t GaeFingerprint() {
 }
 
 uint64_t TpgclFingerprint() {
-  DatasetOptions data_options;
-  data_options.seed = 7;
-  const Dataset d = GenExampleGraph(data_options);
+  const Dataset d = ExampleDataset();
   std::vector<std::vector<int>> candidates = d.anomaly_groups;
   for (int i = 0; i < 8; ++i) candidates.push_back({i, i + 1, i + 2, i + 3});
   TpgclOptions options;
@@ -81,13 +91,93 @@ uint64_t TpgclFingerprint() {
 }
 
 uint64_t DeepAeFingerprint() {
-  DatasetOptions data_options;
-  data_options.seed = 7;
-  const Dataset d = GenExampleGraph(data_options);
+  const Dataset d = ExampleDataset();
   DeepAeOptions options;
   options.epochs = 10;
   options.seed = 9;
   return HashDoubles(DeepAe(options).FitNodeScores(d.graph), kFnvOffset);
+}
+
+/// Hashes every group's size, members and score, in output order.
+uint64_t HashGroups(const std::vector<ScoredGroup>& groups, uint64_t h) {
+  for (const ScoredGroup& group : groups) {
+    const uint64_t size = group.nodes.size();
+    h = Fnv1a(&size, sizeof(size), h);
+    h = Fnv1a(group.nodes.data(), group.nodes.size() * sizeof(int), h);
+    h = Fnv1a(&group.score, sizeof(group.score), h);
+  }
+  return h;
+}
+
+/// Group cap of the group-level baselines below: small enough that each
+/// of them truncates an oversized group (GroupGoldensExerciseTheCap).
+constexpr int kGroupCap = 3;
+
+uint64_t ComGaFingerprint() {
+  const Dataset d = ExampleDataset();
+  ComGaOptions options;
+  options.epochs = 10;
+  options.hidden_dim = 16;
+  options.embed_dim = 8;
+  options.modularity_dim = 8;
+  options.seed = 11;
+  return HashDoubles(ComGa(options).FitNodeScores(d.graph), kFnvOffset);
+}
+
+std::vector<ScoredGroup> DeepFdGroups(int max_group_size) {
+  const Dataset d = ExampleDataset();
+  DeepFdOptions options;
+  options.epochs = 10;
+  options.hidden_dim = 16;
+  options.embed_dim = 8;
+  options.contamination = 0.2;
+  options.max_group_size = max_group_size;
+  options.seed = 13;
+  return DeepFd(options).DetectGroups(d.graph);
+}
+
+std::vector<ScoredGroup> AsGaeGroups(int max_group_size) {
+  const Dataset d = ExampleDataset();
+  AsGaeOptions options;
+  options.gae.epochs = 10;
+  options.gae.hidden_dim = 16;
+  options.gae.embed_dim = 8;
+  options.gae.seed = 17;
+  options.max_group_size = max_group_size;
+  return AsGae(options).DetectGroups(d.graph);
+}
+
+/// DOMINANT scores turned into groups by the connected-component adapter.
+std::vector<ScoredGroup> DominantCcGroups(int max_group_size) {
+  const Dataset d = ExampleDataset();
+  GaeOptions gae;
+  gae.epochs = 10;
+  gae.hidden_dim = 16;
+  gae.embed_dim = 8;
+  gae.seed = 19;
+  GroupExtractionOptions extraction;
+  extraction.contamination = 0.15;
+  extraction.max_group_size = max_group_size;
+  return NodeScorerGroupAdapter(std::make_shared<Dominant>(gae), extraction)
+      .DetectGroups(d.graph);
+}
+
+uint64_t DeepFdFingerprint() {
+  return HashGroups(DeepFdGroups(kGroupCap), kFnvOffset);
+}
+uint64_t AsGaeFingerprint() {
+  return HashGroups(AsGaeGroups(kGroupCap), kFnvOffset);
+}
+uint64_t DominantCcFingerprint() {
+  return HashGroups(DominantCcGroups(kGroupCap), kFnvOffset);
+}
+
+size_t LargestGroup(const std::vector<ScoredGroup>& groups) {
+  size_t largest = 0;
+  for (const ScoredGroup& group : groups) {
+    largest = std::max(largest, group.nodes.size());
+  }
+  return largest;
 }
 
 /// Restores the default parallelism degree on scope exit.
@@ -101,10 +191,27 @@ TEST(TrainingDeterminismTest, OutputsInvariantAcrossThreadCounts) {
   const uint64_t gae1 = GaeFingerprint();
   const uint64_t tpgcl1 = TpgclFingerprint();
   const uint64_t deepae1 = DeepAeFingerprint();
+  const uint64_t comga1 = ComGaFingerprint();
+  const uint64_t deepfd1 = DeepFdFingerprint();
+  const uint64_t as_gae1 = AsGaeFingerprint();
+  const uint64_t dominant_cc1 = DominantCcFingerprint();
   internal::SetParallelismDegreeForTest(4);
   EXPECT_EQ(GaeFingerprint(), gae1);
   EXPECT_EQ(TpgclFingerprint(), tpgcl1);
   EXPECT_EQ(DeepAeFingerprint(), deepae1);
+  EXPECT_EQ(ComGaFingerprint(), comga1);
+  EXPECT_EQ(DeepFdFingerprint(), deepfd1);
+  EXPECT_EQ(AsGaeFingerprint(), as_gae1);
+  EXPECT_EQ(DominantCcFingerprint(), dominant_cc1);
+}
+
+// The group goldens below only pin the truncation branch if it runs: each
+// detector must find a group larger than kGroupCap when left uncapped.
+TEST(TrainingDeterminismTest, GroupGoldensExerciseTheCap) {
+  const size_t uncapped = 1000;
+  EXPECT_GT(LargestGroup(DeepFdGroups(uncapped)), size_t{kGroupCap});
+  EXPECT_GT(LargestGroup(AsGaeGroups(uncapped)), size_t{kGroupCap});
+  EXPECT_GT(LargestGroup(DominantCcGroups(uncapped)), size_t{kGroupCap});
 }
 
 // Golden values captured from the pre-arena implementation on the
@@ -140,6 +247,31 @@ TEST(TrainingDeterminismTest, MatchesPreArenaGoldenBytes) {
     EXPECT_EQ(GaeFingerprint(), kGae) << degree;
     EXPECT_EQ(TpgclFingerprint(), kTpgcl) << degree;
     EXPECT_EQ(DeepAeFingerprint(), kDeepAe) << degree;
+  }
+}
+
+// The ComGA, DeepFD, AS-GAE and DOMINANT+cc bytes, captured before their
+// training loops moved onto the shared TrainSession, in the same two
+// literal sets as above.
+TEST(TrainingDeterminismTest, BaselinesMatchGoldenBytes) {
+#if defined(__AVX512F__)
+  constexpr uint64_t kComGa = 8715852745295724503ULL;
+  constexpr uint64_t kDeepFd = 4826388692564821412ULL;
+  constexpr uint64_t kAsGae = 5868282143286959580ULL;
+  constexpr uint64_t kDominantCc = 1830423964397343012ULL;
+#else
+  constexpr uint64_t kComGa = 6387632262441461290ULL;
+  constexpr uint64_t kDeepFd = 2507492391884355461ULL;
+  constexpr uint64_t kAsGae = 13791503526759913030ULL;
+  constexpr uint64_t kDominantCc = 5187117458281720494ULL;
+#endif
+  DegreeGuard guard;
+  for (int degree : {1, 4}) {
+    internal::SetParallelismDegreeForTest(degree);
+    EXPECT_EQ(ComGaFingerprint(), kComGa) << degree;
+    EXPECT_EQ(DeepFdFingerprint(), kDeepFd) << degree;
+    EXPECT_EQ(AsGaeFingerprint(), kAsGae) << degree;
+    EXPECT_EQ(DominantCcFingerprint(), kDominantCc) << degree;
   }
 }
 #endif  // __AVX512F__ || !__FMA__

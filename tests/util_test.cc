@@ -132,23 +132,6 @@ TEST(RngTest, BernoulliFrequency) {
   EXPECT_NEAR(hits / 10000.0, 0.3, 0.02);
 }
 
-TEST(RngTest, PoissonMeanMatches) {
-  Rng rng(12);
-  double sum = 0.0;
-  for (int i = 0; i < 10000; ++i) sum += rng.Poisson(2.5);
-  EXPECT_NEAR(sum / 10000, 2.5, 0.1);
-  EXPECT_EQ(rng.Poisson(0.0), 0);
-}
-
-TEST(RngTest, PowerLawBounds) {
-  Rng rng(13);
-  for (int i = 0; i < 1000; ++i) {
-    const int k = rng.PowerLaw(2, 50, 2.5);
-    ASSERT_GE(k, 2);
-    ASSERT_LE(k, 50);
-  }
-}
-
 TEST(RngTest, SampleWithoutReplacementDistinct) {
   Rng rng(14);
   const auto sample = rng.SampleWithoutReplacement(100, 30);
@@ -157,15 +140,6 @@ TEST(RngTest, SampleWithoutReplacementDistinct) {
   EXPECT_EQ(uniq.size(), 30u);
   for (size_t v : uniq) EXPECT_LT(v, 100u);
   EXPECT_EQ(rng.SampleWithoutReplacement(5, 5).size(), 5u);
-}
-
-TEST(RngTest, WeightedIndexRespectsWeights) {
-  Rng rng(15);
-  std::vector<double> w = {0.0, 1.0, 3.0};
-  std::vector<int> counts(3, 0);
-  for (int i = 0; i < 20000; ++i) ++counts[rng.WeightedIndex(w)];
-  EXPECT_EQ(counts[0], 0);
-  EXPECT_NEAR(counts[2] / static_cast<double>(counts[1]), 3.0, 0.3);
 }
 
 TEST(RngTest, ShuffleIsPermutation) {

@@ -358,26 +358,6 @@ int CmdList() {
   return 0;
 }
 
-/// Renders { "nodes": [...], "score": s } rows for the top `limit` groups.
-std::string TopGroupsJson(std::vector<ScoredGroup> groups, size_t limit) {
-  std::stable_sort(groups.begin(), groups.end(),
-                   [](const ScoredGroup& a, const ScoredGroup& b) {
-                     return a.score > b.score;
-                   });
-  std::string out = "[";
-  for (size_t i = 0; i < groups.size() && i < limit; ++i) {
-    if (i) out += ", ";
-    out += "{\"score\": " + JsonNumber(groups[i].score) + ", \"nodes\": [";
-    for (size_t k = 0; k < groups[i].nodes.size(); ++k) {
-      if (k) out += ", ";
-      out += std::to_string(groups[i].nodes[k]);
-    }
-    out += "]}";
-  }
-  out += "]";
-  return out;
-}
-
 std::string TimingsJson(const RunContext& ctx) {
   std::string out = "[";
   bool first_timing = true;
