@@ -4,35 +4,60 @@
 #include "src/util/atomic_io.h"
 #include "src/util/retry.h"
 
-#include <cerrno>
 #include <climits>
-#include <cstdio>
-#include <cstdlib>
 #include <filesystem>
-#include <map>
-#include <sstream>
+#include <string_view>
 #include <utility>
 
 namespace grgad {
 namespace {
 
-// v2 adds per-file byte counts + FNV-1a 64 checksums and per-field element
-// counts to the manifest, so Load can reject truncation, bit-flips, and
-// missing files up front. v1 directories (no checksums) still load.
+// v2 records per-file byte counts + FNV-1a 64 checksums and per-field
+// element counts in the manifest, so Load rejects truncation, bit-flips,
+// and missing files up front. No other version loads.
 constexpr int kFormatVersion = 2;
-constexpr int kLegacyVersion = 1;
+constexpr const char* kManifestMagic = "grgad_artifacts_version";
 constexpr const char* kManifestFile = "manifest.txt";
 
-std::string JoinInts(const std::vector<int>& v) {
+std::string PathIn(const std::string& dir, const char* file) {
+  return (std::filesystem::path(dir) / file).string();
+}
+
+Status Malformed(const std::string& what, const std::string& path) {
+  return Status::InvalidArgument(what + " in " + path);
+}
+
+// One Serialize/Parse overload per field type. Every parser reads from
+// memory with TokenScanner and rejects a malformed token, a short file, and
+// data past the declared shape.
+
+/// Appends every remaining token of `in` to `out`; false on the first one
+/// that is not a complete in-range integer.
+bool ScanInts(TokenScanner& in, std::vector<int>* out) {
+  long long v = 0;
+  while (!in.AtEnd()) {
+    if (!in.I64(&v) || v < INT_MIN || v > INT_MAX) return false;
+    out->push_back(static_cast<int>(v));
+  }
+  return true;
+}
+
+std::string Serialize(const std::vector<int>& v) {
   std::string out;
   for (size_t i = 0; i < v.size(); ++i) {
     if (i) out += ' ';
     out += std::to_string(v[i]);
   }
-  return out;
+  return out + "\n";
 }
 
-std::string SerializeDoubles(const std::vector<double>& v) {
+Status Parse(std::string_view content, const std::string& path,
+             std::vector<int>* out) {
+  TokenScanner in(content);
+  return ScanInts(in, out) ? Status::Ok() : Malformed("bad integer", path);
+}
+
+std::string Serialize(const std::vector<double>& v) {
   std::string content;
   for (double x : v) {
     content += FormatExactDouble(x);
@@ -41,79 +66,18 @@ std::string SerializeDoubles(const std::vector<double>& v) {
   return content;
 }
 
-Result<std::vector<double>> ParseDoubles(const std::string& content,
-                                         const std::string& path) {
-  std::istringstream in(content);
-  std::vector<double> out;
-  std::string token;
-  while (in >> token) {
-    errno = 0;
-    char* end = nullptr;
-    const double x = std::strtod(token.c_str(), &end);
-    if (end == token.c_str() || *end != '\0') {
-      return Status::InvalidArgument("bad double '" + token + "' in " + path);
-    }
-    out.push_back(x);
+Status Parse(std::string_view content, const std::string& path,
+             std::vector<double>* out) {
+  TokenScanner in(content);
+  double x = 0.0;
+  while (!in.AtEnd()) {
+    if (!in.F64(&x)) return Malformed("bad double", path);
+    out->push_back(x);
   }
-  return out;
+  return Status::Ok();
 }
 
-Result<std::vector<int>> ParseInts(const std::string& line,
-                                   const std::string& path) {
-  std::istringstream in(line);
-  std::vector<int> out;
-  std::string token;
-  while (in >> token) {
-    errno = 0;
-    char* end = nullptr;
-    const long long x = std::strtoll(token.c_str(), &end, 10);
-    if (end == token.c_str() || *end != '\0' || errno == ERANGE ||
-        x < INT_MIN || x > INT_MAX) {
-      return Status::InvalidArgument("bad integer '" + token + "' in " + path);
-    }
-    out.push_back(static_cast<int>(x));
-  }
-  return out;
-}
-
-// One group per line; a leading count line distinguishes "no groups" from
-// "one empty group".
-std::string SerializeGroupLines(const std::vector<std::vector<int>>& groups) {
-  std::string content = std::to_string(groups.size()) + "\n";
-  for (const auto& group : groups) {
-    content += JoinInts(group);
-    content += '\n';
-  }
-  return content;
-}
-
-Result<std::vector<std::vector<int>>> ParseGroupLines(
-    const std::string& content, const std::string& path) {
-  std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("missing count line in " + path);
-  }
-  auto count = ParseInts(line, path);
-  if (!count.ok()) return count.status();
-  if (count.value().size() != 1 || count.value()[0] < 0) {
-    return Status::InvalidArgument("bad count line in " + path);
-  }
-  // No reserve: an absurd count line fails on the missing rows below
-  // instead of attempting a giant allocation.
-  std::vector<std::vector<int>> groups;
-  for (int i = 0; i < count.value()[0]; ++i) {
-    if (!std::getline(in, line)) {
-      return Status::InvalidArgument("truncated group file " + path);
-    }
-    auto group = ParseInts(line, path);
-    if (!group.ok()) return group.status();
-    groups.push_back(std::move(group).value());
-  }
-  return groups;
-}
-
-std::string SerializeMatrix(const Matrix& m) {
+std::string Serialize(const Matrix& m) {
   std::string content =
       std::to_string(m.rows()) + " " + std::to_string(m.cols()) + "\n";
   for (size_t i = 0; i < m.rows(); ++i) {
@@ -126,398 +90,228 @@ std::string SerializeMatrix(const Matrix& m) {
   return content;
 }
 
-Result<Matrix> ParseMatrix(const std::string& content,
-                           const std::string& path) {
-  std::istringstream in(content);
+Status Parse(std::string_view content, const std::string& path, Matrix* out) {
+  TokenScanner in(content);
   long long rows = 0, cols = 0;
-  if (!(in >> rows >> cols)) {
-    return Status::InvalidArgument("missing dims line in " + path);
+  if (!in.I64(&rows) || !in.I64(&cols)) {
+    return Malformed("missing dims line", path);
   }
   // Guard the allocation: dims come from an untrusted file.
   constexpr long long kMaxElements = 1LL << 28;  // 256M doubles = 2 GiB.
   if (rows < 0 || cols < 0 || (cols > 0 && rows > kMaxElements / cols)) {
-    return Status::InvalidArgument("implausible dims " + std::to_string(rows) +
-                                   "x" + std::to_string(cols) + " in " + path);
+    return Malformed("implausible dims " + std::to_string(rows) + "x" +
+                         std::to_string(cols),
+                     path);
   }
-  Matrix m(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  for (size_t i = 0; i < m.rows(); ++i) {
-    for (size_t j = 0; j < m.cols(); ++j) {
-      std::string token;
-      if (!(in >> token)) {
-        return Status::InvalidArgument("truncated matrix file " + path);
-      }
-      char* end = nullptr;
-      m(i, j) = std::strtod(token.c_str(), &end);
-      if (end == token.c_str() || *end != '\0') {
-        return Status::InvalidArgument("bad double '" + token + "' in " +
-                                       path);
-      }
+  *out = Matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
+  for (size_t i = 0; i < out->rows(); ++i) {
+    for (size_t j = 0; j < out->cols(); ++j) {
+      if (!in.F64(&(*out)(i, j))) return Malformed("bad or missing cell", path);
     }
   }
-  return m;
+  return in.AtEnd() ? Status::Ok() : Malformed("trailing data", path);
 }
 
-std::string SerializeScoredGroups(const std::vector<ScoredGroup>& groups) {
-  std::string scored;
-  scored += std::to_string(groups.size());
-  scored += '\n';
-  for (const ScoredGroup& sg : groups) {
-    scored += FormatExactDouble(sg.score);
-    for (int v : sg.nodes) {
-      scored += ' ';
-      scored += std::to_string(v);
-    }
-    scored += '\n';
-  }
-  return scored;
-}
+// Groups and scored groups are line-delimited: a count line, then one group
+// per line. The count tells "no groups" from "one empty group", which is an
+// empty line.
 
-Result<std::vector<ScoredGroup>> ParseScoredGroups(const std::string& content,
-                                                   const std::string& path) {
-  std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("missing count line in " + path);
-  }
-  auto count_line = ParseInts(line, path);
-  if (!count_line.ok()) return count_line.status();
-  if (count_line.value().size() != 1 || count_line.value()[0] < 0) {
-    return Status::InvalidArgument("bad count line in " + path);
-  }
-  const int count = count_line.value()[0];
-  std::vector<ScoredGroup> out;
-  for (int i = 0; i < count; ++i) {
-    if (!std::getline(in, line)) {
-      return Status::InvalidArgument("truncated scored-group file " + path);
-    }
-    std::istringstream row(line);
-    ScoredGroup sg;
-    std::string score_token;
-    if (!(row >> score_token)) {
-      return Status::InvalidArgument("empty scored-group row in " + path);
-    }
-    char* end = nullptr;
-    sg.score = std::strtod(score_token.c_str(), &end);
-    if (end == score_token.c_str() || *end != '\0') {
-      return Status::InvalidArgument("bad score '" + score_token + "' in " +
-                                     path);
-    }
-    int v;
-    while (row >> v) sg.nodes.push_back(v);
-    out.push_back(std::move(sg));
-  }
-  return out;
-}
-
-std::string PathIn(const std::string& dir, const char* file) {
-  return (std::filesystem::path(dir) / file).string();
-}
-
-/// The artifact payload files, serialized, in manifest order.
-std::vector<std::pair<std::string, std::string>> SerializeFiles(
-    const PipelineArtifacts& artifacts) {
-  std::vector<std::pair<std::string, std::string>> files;
-  files.emplace_back("anchors.txt", JoinInts(artifacts.anchors) + "\n");
-  files.emplace_back("groups.txt",
-                     SerializeGroupLines(artifacts.candidate_groups));
-  files.emplace_back("embeddings.txt",
-                     SerializeMatrix(artifacts.group_embeddings));
-  files.emplace_back("scores.txt", SerializeDoubles(artifacts.group_scores));
-  // Scored groups are stored on their own (not rebuilt from groups+scores):
-  // partial runs legitimately have scored_groups without group_scores.
-  files.emplace_back("scored_groups.txt",
-                     SerializeScoredGroups(artifacts.scored_groups));
-  files.emplace_back("node_errors.txt",
-                     SerializeDoubles(artifacts.gae_node_errors));
-  files.emplace_back("tpgcl_loss.txt",
-                     SerializeDoubles(artifacts.tpgcl_loss_history));
-  return files;
-}
-
-struct ManifestInfo {
-  int version = -1;
-  uint64_t seed = 42;
-  /// Element counts + dims declared at save time (num_anchors, num_groups,
-  /// embedding_rows, embedding_dim, ...). Load cross-checks the parsed
-  /// fields against whichever keys are present.
-  std::map<std::string, long long> counts;
-  struct FileEntry {
-    std::string name;
-    uint64_t bytes = 0;
-    uint64_t checksum = 0;
+/// Reads the count line, then hands each of the `count` lines to `line_fn`
+/// as a scanner over that line alone.
+template <typename LineFn>
+Status ScanCountedLines(std::string_view content, const std::string& path,
+                        LineFn line_fn) {
+  size_t pos = 0;
+  const auto next_line = [&] {
+    size_t nl = content.find('\n', pos);
+    if (nl == std::string_view::npos) nl = content.size();
+    TokenScanner line(content.substr(pos, nl - pos));
+    pos = nl + 1;
+    return line;
   };
-  std::vector<FileEntry> files;  ///< v2 only (empty for v1).
+  long long count = 0;
+  TokenScanner count_line = next_line();
+  if (!count_line.I64(&count) || count < 0 || !count_line.AtEnd()) {
+    return Malformed("bad count line", path);
+  }
+  // No reserve: an absurd count fails on the missing lines instead of
+  // attempting a giant allocation.
+  for (long long i = 0; i < count; ++i) {
+    if (pos >= content.size()) return Malformed("truncated file", path);
+    TokenScanner line = next_line();
+    GRGAD_RETURN_IF_ERROR(line_fn(line));
+  }
+  if (pos < content.size() && !TokenScanner(content.substr(pos)).AtEnd()) {
+    return Malformed("trailing data", path);
+  }
+  return Status::Ok();
+}
+
+std::string Serialize(const std::vector<std::vector<int>>& groups) {
+  std::string content = std::to_string(groups.size()) + "\n";
+  for (const auto& group : groups) content += Serialize(group);
+  return content;
+}
+
+Status Parse(std::string_view content, const std::string& path,
+             std::vector<std::vector<int>>* out) {
+  return ScanCountedLines(content, path, [&](TokenScanner& line) {
+    return ScanInts(line, &out->emplace_back())
+               ? Status::Ok()
+               : Malformed("bad integer", path);
+  });
+}
+
+std::string Serialize(const std::vector<ScoredGroup>& groups) {
+  std::string content = std::to_string(groups.size()) + "\n";
+  for (const ScoredGroup& sg : groups) {
+    content += FormatExactDouble(sg.score);
+    for (int v : sg.nodes) {
+      content += ' ';
+      content += std::to_string(v);
+    }
+    content += '\n';
+  }
+  return content;
+}
+
+Status Parse(std::string_view content, const std::string& path,
+             std::vector<ScoredGroup>* out) {
+  return ScanCountedLines(content, path, [&](TokenScanner& line) {
+    ScoredGroup& sg = out->emplace_back();
+    if (!line.F64(&sg.score)) return Malformed("bad score", path);
+    if (!ScanInts(line, &sg.nodes)) return Malformed("bad node id", path);
+    return Status::Ok();
+  });
+}
+
+/// One payload file: its name, and how its field is written and parsed.
+struct PayloadFile {
+  const char* name;
+  std::string (*serialize)(const PipelineArtifacts&);
+  Status (*parse)(std::string_view, const std::string&, PipelineArtifacts*);
 };
 
-Result<ManifestInfo> ParseManifest(const std::string& content,
-                                   const std::string& path) {
-  ManifestInfo m;
-  std::istringstream in(content);
-  std::string line;
-  if (!std::getline(in, line)) {
-    return Status::InvalidArgument("empty manifest " + path);
-  }
-  {
-    std::istringstream header(line);
-    std::string key;
-    if (!(header >> key >> m.version) || key != "grgad_artifacts_version") {
-      return Status::InvalidArgument("malformed manifest " + path);
-    }
-  }
-  if (m.version != kFormatVersion && m.version != kLegacyVersion) {
-    return Status::InvalidArgument("unsupported artifact version " +
-                                   std::to_string(m.version) + " in " + path);
-  }
-  while (std::getline(in, line)) {
-    std::istringstream row(line);
-    std::string key;
-    if (!(row >> key)) continue;  // Blank line.
-    if (key == "seed") {
-      std::string value;
-      if (!(row >> value) || !ParseUint64Text(value, &m.seed)) {
-        return Status::InvalidArgument("bad seed in " + path);
-      }
-    } else if (key == "file") {
-      ManifestInfo::FileEntry entry;
-      std::string bytes_token, sum_token;
-      if (!(row >> entry.name >> bytes_token >> sum_token)) {
-        return Status::InvalidArgument("malformed file entry '" + line +
-                                       "' in " + path);
-      }
-      if (!ParseUint64Text(bytes_token, &entry.bytes)) {
-        return Status::InvalidArgument("bad file size '" + bytes_token +
-                                       "' in " + path);
-      }
-      errno = 0;
-      char* end = nullptr;
-      entry.checksum = std::strtoull(sum_token.c_str(), &end, 16);
-      if (end == sum_token.c_str() || *end != '\0' || errno == ERANGE) {
-        return Status::InvalidArgument("bad checksum '" + sum_token + "' in " +
-                                       path);
-      }
-      m.files.push_back(std::move(entry));
-    } else {
-      long long value = 0;
-      if (row >> value) m.counts[key] = value;
-      // Unknown non-numeric entries are informational; skip them.
-    }
-  }
-  return m;
+template <auto Field>
+constexpr PayloadFile FileOf(const char* name) {
+  return {name,
+          [](const PipelineArtifacts& a) { return Serialize(a.*Field); },
+          [](std::string_view content, const std::string& path,
+             PipelineArtifacts* a) {
+            return Parse(content, path, &(a->*Field));
+          }};
 }
 
-/// Cross-check of one parsed field's element count against the manifest's
-/// declared count (skipped when the save predates the key).
-Status CheckCount(const ManifestInfo& m, const std::string& key,
-                  long long actual, const std::string& path) {
-  auto it = m.counts.find(key);
-  if (it == m.counts.end() || it->second == actual) return Status::Ok();
-  return Status::DataLoss(path + ": manifest declares " + key + "=" +
-                          std::to_string(it->second) + " but file has " +
-                          std::to_string(actual));
+template <auto Field>
+size_t SizeOf(const PipelineArtifacts& a) {
+  return (a.*Field).size();
 }
+
+// In manifest order. Scored groups are stored on their own (not rebuilt
+// from groups+scores): partial runs legitimately have scored_groups without
+// group_scores.
+constexpr PayloadFile kPayloadFiles[] = {
+    FileOf<&PipelineArtifacts::anchors>("anchors.txt"),
+    FileOf<&PipelineArtifacts::candidate_groups>("groups.txt"),
+    FileOf<&PipelineArtifacts::group_embeddings>("embeddings.txt"),
+    FileOf<&PipelineArtifacts::group_scores>("scores.txt"),
+    FileOf<&PipelineArtifacts::scored_groups>("scored_groups.txt"),
+    FileOf<&PipelineArtifacts::gae_node_errors>("node_errors.txt"),
+    FileOf<&PipelineArtifacts::tpgcl_loss_history>("tpgcl_loss.txt"),
+};
+
+/// A manifest key declaring a parsed field's size, and the file the field
+/// comes from. Save records every key; Load requires every key and checks
+/// it against what was parsed.
+struct CountKey {
+  const char* key;
+  const char* file;
+  size_t (*count)(const PipelineArtifacts&);
+};
+
+constexpr CountKey kCountKeys[] = {
+    {"num_anchors", "anchors.txt", SizeOf<&PipelineArtifacts::anchors>},
+    {"num_groups", "groups.txt", SizeOf<&PipelineArtifacts::candidate_groups>},
+    {"embedding_rows", "embeddings.txt",
+     [](const PipelineArtifacts& a) { return a.group_embeddings.rows(); }},
+    {"embedding_dim", "embeddings.txt",
+     [](const PipelineArtifacts& a) { return a.group_embeddings.cols(); }},
+    {"num_scores", "scores.txt", SizeOf<&PipelineArtifacts::group_scores>},
+    {"num_scored_groups", "scored_groups.txt",
+     SizeOf<&PipelineArtifacts::scored_groups>},
+    {"num_node_errors", "node_errors.txt",
+     SizeOf<&PipelineArtifacts::gae_node_errors>},
+    {"num_loss", "tpgcl_loss.txt",
+     SizeOf<&PipelineArtifacts::tpgcl_loss_history>},
+};
 
 }  // namespace
 
 Status WriteArtifactFiles(const PipelineArtifacts& artifacts,
                           const std::string& dir) {
-  namespace fs = std::filesystem;
   // Serialize everything up front so the durability window holds no compute.
-  const auto files = SerializeFiles(artifacts);
-  std::string manifest;
-  manifest += "grgad_artifacts_version " + std::to_string(kFormatVersion);
-  manifest += "\nseed " + std::to_string(artifacts.seed);
-  manifest += "\nnum_anchors " + std::to_string(artifacts.anchors.size());
-  manifest +=
-      "\nnum_groups " + std::to_string(artifacts.candidate_groups.size());
-  manifest += "\nembedding_rows " +
-              std::to_string(artifacts.group_embeddings.rows());
-  manifest += "\nembedding_dim " +
-              std::to_string(artifacts.group_embeddings.cols());
-  manifest += "\nnum_scores " + std::to_string(artifacts.group_scores.size());
-  manifest +=
-      "\nnum_scored_groups " + std::to_string(artifacts.scored_groups.size());
-  manifest +=
-      "\nnum_node_errors " + std::to_string(artifacts.gae_node_errors.size());
-  manifest +=
-      "\nnum_loss " + std::to_string(artifacts.tpgcl_loss_history.size());
-  manifest += '\n';
-  for (const auto& [name, content] : files) {
-    manifest += "file " + name + " " + std::to_string(content.size()) + " " +
-                HexU64(Fnv1a64(content)) + "\n";
+  ManifestHeader header{kManifestMagic, kFormatVersion,
+                        {{"seed", std::to_string(artifacts.seed)}}};
+  for (const CountKey& c : kCountKeys) {
+    header.values.emplace_back(c.key, std::to_string(c.count(artifacts)));
   }
-
-  const fs::path base(dir);
-  GRGAD_RETURN_IF_ERROR(WriteTextFile((base / kManifestFile).string(),
-                                      manifest));
-  for (const auto& [name, content] : files) {
-    GRGAD_RETURN_IF_ERROR(WriteTextFile((base / name).string(), content));
+  std::vector<StoreFile> files;
+  for (const PayloadFile& f : kPayloadFiles) {
+    files.push_back({f.name, f.serialize(artifacts)});
   }
-  GRGAD_RETURN_IF_ERROR(
-      FsyncPath((base / kManifestFile).string(), /*is_dir=*/false));
-  for (const auto& [name, content] : files) {
-    GRGAD_RETURN_IF_ERROR(FsyncPath((base / name).string(),
-                                    /*is_dir=*/false));
-  }
-  return FsyncPath(base.string(), /*is_dir=*/true);
+  return WriteStoreDir(dir, kManifestFile, header, files);
 }
 
 Status SaveArtifacts(const PipelineArtifacts& artifacts,
                      const std::string& dir) {
-  namespace fs = std::filesystem;
-  // Atomic replace: stage everything in a sibling tmp dir, make it durable,
-  // then commit with renames. A crash or injected fault at any point leaves
-  // either the previous artifacts or (mid-dance) no directory — never a
-  // torn mixture that parses.
-  const fs::path target(dir);
-  const fs::path tmp(dir + ".tmp");
-  std::error_code ec;
-  fs::remove_all(tmp, ec);  // Stale leftovers from a crashed save.
-  fs::remove_all(fs::path(dir + ".old"), ec);
-  if (target.has_parent_path()) {
-    fs::create_directories(target.parent_path(), ec);
-  }
-  ec.clear();
-  fs::create_directories(tmp, ec);
-  if (ec) {
-    return Status::IoError("cannot create " + tmp.string() + ": " +
-                           ec.message());
-  }
-  if (Status staged = WriteArtifactFiles(artifacts, tmp.string());
-      !staged.ok()) {
-    fs::remove_all(tmp, ec);
-    return staged;
-  }
-  return CommitDirReplace(tmp.string(), dir);
+  return StageDirReplace(dir, [&](const std::string& tmp) {
+    return WriteArtifactFiles(artifacts, tmp);
+  });
 }
 
 Result<PipelineArtifacts> LoadArtifacts(const std::string& dir) {
-  namespace fs = std::filesystem;
+  // Every listed file is present, exactly its recorded size and
+  // checksum-clean before any parsing starts.
+  auto store = ReadStoreDir(dir, kManifestFile);
+  if (!store.ok()) return store.status();
+  const StoreDir& stored = store.value();
+  const ManifestHeader& header = stored.header;
   const std::string manifest_path = PathIn(dir, kManifestFile);
-  if (!fs::exists(manifest_path)) {
-    return Status::NotFound("no artifact manifest at " + manifest_path);
+  if (header.magic != kManifestMagic) {
+    return Malformed("unknown manifest magic", manifest_path);
   }
-  auto manifest_content = ReadTextFile(manifest_path);
-  if (!manifest_content.ok()) return manifest_content.status();
-  auto manifest = ParseManifest(manifest_content.value(), manifest_path);
-  if (!manifest.ok()) return manifest.status();
-  const ManifestInfo& m = manifest.value();
-
-  // Integrity sweep before any parsing: every manifest-listed file must be
-  // present, exactly its recorded size, and checksum-clean. Each file is
-  // read once here and parsed from memory below. v1 directories predate
-  // the checksums and skip straight to parsing.
-  std::map<std::string, std::string> contents;
-  for (const auto& entry : m.files) {
-    const std::string path = PathIn(dir, entry.name.c_str());
-    std::error_code ec;
-    if (!fs::exists(path, ec)) {
-      return Status::DataLoss("missing artifact file " + path);
-    }
-    auto content = ReadTextFile(path);
-    if (!content.ok()) return content.status();
-    if (content.value().size() != entry.bytes) {
-      return Status::DataLoss(
-          "truncated artifact file " + path + ": manifest records " +
-          std::to_string(entry.bytes) + " bytes, found " +
-          std::to_string(content.value().size()));
-    }
-    if (Fnv1a64(content.value()) != entry.checksum) {
-      return Status::DataLoss("checksum mismatch in " + path +
-                              " (corrupt artifact)");
-    }
-    contents[entry.name] = std::move(content).value();
+  if (header.version != kFormatVersion) {
+    return Malformed(
+        "unsupported artifact version " + std::to_string(header.version),
+        manifest_path);
   }
-  const auto get = [&](const char* name) -> Result<std::string> {
-    if (m.version == kLegacyVersion) return ReadTextFile(PathIn(dir, name));
-    auto it = contents.find(name);
-    if (it == contents.end()) {
-      return Status::DataLoss("manifest " + manifest_path +
-                              " has no file entry for " + name);
-    }
-    return it->second;
-  };
 
   PipelineArtifacts artifacts;
-  artifacts.seed = m.seed;
-  {
-    const std::string path = PathIn(dir, "anchors.txt");
-    auto content = get("anchors.txt");
-    if (!content.ok()) return content.status();
-    auto anchors = ParseInts(content.value(), path);
-    if (!anchors.ok()) return anchors.status();
-    artifacts.anchors = std::move(anchors).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_anchors", static_cast<long long>(artifacts.anchors.size()),
-        path));
+  const std::string* seed = header.Find("seed");
+  if (seed == nullptr || !ParseUint64Text(*seed, &artifacts.seed)) {
+    return Status::DataLoss("bad or missing seed in " + manifest_path);
   }
-  {
-    const std::string path = PathIn(dir, "groups.txt");
-    auto content = get("groups.txt");
-    if (!content.ok()) return content.status();
-    auto groups = ParseGroupLines(content.value(), path);
-    if (!groups.ok()) return groups.status();
-    artifacts.candidate_groups = std::move(groups).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_groups",
-        static_cast<long long>(artifacts.candidate_groups.size()), path));
+  for (const PayloadFile& f : kPayloadFiles) {
+    const std::string* content = stored.Find(f.name);
+    if (content == nullptr) {
+      return Status::DataLoss("manifest " + manifest_path +
+                              " has no file entry for " + f.name);
+    }
+    GRGAD_RETURN_IF_ERROR(f.parse(*content, PathIn(dir, f.name), &artifacts));
   }
-  {
-    const std::string path = PathIn(dir, "embeddings.txt");
-    auto content = get("embeddings.txt");
-    if (!content.ok()) return content.status();
-    auto matrix = ParseMatrix(content.value(), path);
-    if (!matrix.ok()) return matrix.status();
-    artifacts.group_embeddings = std::move(matrix).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "embedding_rows",
-        static_cast<long long>(artifacts.group_embeddings.rows()), path));
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "embedding_dim",
-        static_cast<long long>(artifacts.group_embeddings.cols()), path));
-  }
-  {
-    const std::string path = PathIn(dir, "scores.txt");
-    auto content = get("scores.txt");
-    if (!content.ok()) return content.status();
-    auto scores = ParseDoubles(content.value(), path);
-    if (!scores.ok()) return scores.status();
-    artifacts.group_scores = std::move(scores).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_scores",
-        static_cast<long long>(artifacts.group_scores.size()), path));
-  }
-  {
-    const std::string path = PathIn(dir, "scored_groups.txt");
-    auto content = get("scored_groups.txt");
-    if (!content.ok()) return content.status();
-    auto scored = ParseScoredGroups(content.value(), path);
-    if (!scored.ok()) return scored.status();
-    artifacts.scored_groups = std::move(scored).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_scored_groups",
-        static_cast<long long>(artifacts.scored_groups.size()), path));
-  }
-  {
-    const std::string path = PathIn(dir, "node_errors.txt");
-    auto content = get("node_errors.txt");
-    if (!content.ok()) return content.status();
-    auto errors = ParseDoubles(content.value(), path);
-    if (!errors.ok()) return errors.status();
-    artifacts.gae_node_errors = std::move(errors).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_node_errors",
-        static_cast<long long>(artifacts.gae_node_errors.size()), path));
-  }
-  {
-    const std::string path = PathIn(dir, "tpgcl_loss.txt");
-    auto content = get("tpgcl_loss.txt");
-    if (!content.ok()) return content.status();
-    auto loss = ParseDoubles(content.value(), path);
-    if (!loss.ok()) return loss.status();
-    artifacts.tpgcl_loss_history = std::move(loss).value();
-    GRGAD_RETURN_IF_ERROR(CheckCount(
-        m, "num_loss",
-        static_cast<long long>(artifacts.tpgcl_loss_history.size()), path));
+  for (const CountKey& c : kCountKeys) {
+    const std::string path = PathIn(dir, c.file);
+    const std::string* value = header.Find(c.key);
+    long long declared = 0;
+    if (value == nullptr || !TokenScanner(*value).I64(&declared)) {
+      return Status::DataLoss(path + ": manifest has no valid " + c.key);
+    }
+    const auto actual = static_cast<long long>(c.count(artifacts));
+    if (declared != actual) {
+      return Status::DataLoss(path + ": manifest declares " + c.key + "=" +
+                              std::to_string(declared) + " but file has " +
+                              std::to_string(actual));
+    }
   }
   return artifacts;
 }

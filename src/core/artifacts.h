@@ -33,28 +33,37 @@ struct PipelineArtifacts {
   std::vector<double> tpgcl_loss_history;
 };
 
-/// Writes `artifacts` under `dir` atomically: everything is staged in a
-/// sibling `<dir>.tmp`, fsynced, then committed by rename, replacing any
-/// previous artifacts. On ANY failure the previous contents of `dir` are
-/// left intact (a hard crash between the commit renames can leave `dir`
-/// absent — NotFound on load, never a torn mixture). The manifest records
-/// per-file sizes and FNV-1a checksums so Load can verify integrity.
+/// Writes `artifacts` under `dir` atomically, on the checksummed-directory
+/// store of src/util/atomic_io.h: everything is staged in a sibling
+/// `<dir>.tmp`, fsynced, then committed by rename, replacing any previous
+/// artifacts. On ANY failure the previous contents of `dir` are left intact
+/// (a hard crash between the commit renames can leave `dir` absent —
+/// NotFound on load, never a torn mixture). The manifest records per-file
+/// sizes and FNV-1a checksums and per-field element counts.
 Status SaveArtifacts(const PipelineArtifacts& artifacts,
                      const std::string& dir);
 
-/// Writes the artifact file set (manifest + payload files) directly into the
-/// EXISTING directory `dir` and fsyncs each file plus the directory, with no
-/// staging or rename commit of its own. Building block for composite
-/// snapshots that stage several stores in one tmp directory and publish them
-/// with a single CommitDirReplace; SaveArtifacts is this plus the dance.
+/// Writes the artifact file set (payload files + manifest) into directory
+/// `dir` and fsyncs each file plus the directory, with no staging or rename
+/// commit of its own. Building block for the serve snapshot, which nests an
+/// artifact directory inside its own staged directory; SaveArtifacts is
+/// this under StageDirReplace.
 Status WriteArtifactFiles(const PipelineArtifacts& artifacts,
                           const std::string& dir);
 
-/// Loads a directory written by SaveArtifacts. Fails with NotFound when no
-/// manifest is present, DataLoss when a file is missing, truncated,
-/// checksum-corrupt, or disagrees with the manifest's recorded counts/dims
-/// (v2 directories), and IoError/InvalidArgument on unreadable or malformed
-/// files. The result compares field-for-field identical to what was saved.
+/// Loads a directory written by SaveArtifacts. Error codes:
+///  - NotFound: the directory or its manifest is absent;
+///  - InvalidArgument: the manifest is not an artifact manifest of the
+///    current version ("unsupported artifact version"), or a payload that
+///    passed its checksum is malformed (a bad token, a short file, or data
+///    past its declared shape) — the message names the file;
+///  - DataLoss: a listed file is missing, truncated or checksum-corrupt,
+///    the manifest is malformed or lacks the seed or a count key, or a
+///    parsed field disagrees with its declared count — the message names
+///    the file;
+///  - IoError: a read failed (transient; see ArtifactLoadRetryable).
+/// The result compares field-for-field identical, bit for bit, to what was
+/// saved.
 Result<PipelineArtifacts> LoadArtifacts(const std::string& dir);
 
 /// Retry predicate for LoadArtifacts under concurrent writers: transient

@@ -9,7 +9,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
-#include <sstream>
 #include <utility>
 
 #include "src/util/atomic_io.h"
@@ -21,6 +20,8 @@ namespace {
 constexpr const char* kWalHeaderPrefix = "grgad_wal_version 1 base ";
 constexpr const char* kSnapshotDirName = "snapshot";
 constexpr const char* kSnapshotManifest = "snapshot.txt";
+constexpr const char* kSnapshotMagic = "grgad_serve_snapshot_version";
+constexpr int kSnapshotVersion = 1;
 constexpr const char* kSnapshotGraphFile = "graph.txt";
 constexpr const char* kSnapshotStateFile = "serve_state.txt";
 constexpr const char* kSnapshotArtifactsDir = "artifacts";
@@ -408,116 +409,57 @@ Status SaveServeSnapshot(const std::string& state_dir, const Graph& graph,
                          const PipelineArtifacts& artifacts,
                          const ServeStateSnapshot& state, uint64_t wal_seq) {
   namespace fs = std::filesystem;
-  const fs::path snap_dir = fs::path(state_dir) / kSnapshotDirName;
-  const fs::path tmp(snap_dir.string() + ".tmp");
-  std::error_code ec;
-  fs::remove_all(tmp, ec);  // Stale leftovers from a crashed snapshot.
-  fs::remove_all(fs::path(snap_dir.string() + ".old"), ec);
-  ec.clear();
-  fs::create_directories(tmp / kSnapshotArtifactsDir, ec);
-  if (ec) {
-    return Status::IoError("cannot create " + tmp.string() + ": " +
-                           ec.message());
-  }
-  const Status staged = [&]() -> Status {
-    const std::string graph_text = SerializeGraphSnapshot(graph);
-    const std::string state_text = SerializeServeState(state);
-    std::string manifest;
-    manifest += "grgad_serve_snapshot_version 1\n";
-    manifest += "wal_seq " + std::to_string(wal_seq) + "\n";
-    manifest += std::string("file ") + kSnapshotGraphFile + " " +
-                std::to_string(graph_text.size()) + " " +
-                HexU64(Fnv1a64(graph_text)) + "\n";
-    manifest += std::string("file ") + kSnapshotStateFile + " " +
-                std::to_string(state_text.size()) + " " +
-                HexU64(Fnv1a64(state_text)) + "\n";
-    GRGAD_RETURN_IF_ERROR(
-        WriteTextFile((tmp / kSnapshotGraphFile).string(), graph_text));
-    // The kill-point inside staging: a crash here leaves only a torn tmp
-    // directory, which the commit never publishes.
-    GRGAD_RETURN_IF_ERROR(FaultInjector::Global().Check("snapshot/mid"));
-    GRGAD_RETURN_IF_ERROR(
-        WriteTextFile((tmp / kSnapshotStateFile).string(), state_text));
-    GRGAD_RETURN_IF_ERROR(
-        WriteTextFile((tmp / kSnapshotManifest).string(), manifest));
+  const std::string snap_dir =
+      (fs::path(state_dir) / kSnapshotDirName).string();
+  return StageDirReplace(snap_dir, [&](const std::string& tmp) -> Status {
+    // The artifacts go first so the snapshot's own directory fsync, the
+    // last one, also makes the nested directory's entry durable.
     GRGAD_RETURN_IF_ERROR(WriteArtifactFiles(
-        artifacts, (tmp / kSnapshotArtifactsDir).string()));
-    GRGAD_RETURN_IF_ERROR(
-        FsyncPath((tmp / kSnapshotGraphFile).string(), /*is_dir=*/false));
-    GRGAD_RETURN_IF_ERROR(
-        FsyncPath((tmp / kSnapshotStateFile).string(), /*is_dir=*/false));
-    GRGAD_RETURN_IF_ERROR(
-        FsyncPath((tmp / kSnapshotManifest).string(), /*is_dir=*/false));
-    return FsyncPath(tmp.string(), /*is_dir=*/true);
-  }();
-  if (!staged.ok()) {
-    fs::remove_all(tmp, ec);
-    return staged;
-  }
-  return CommitDirReplace(tmp.string(), snap_dir.string());
+        artifacts, (fs::path(tmp) / kSnapshotArtifactsDir).string()));
+    // "snapshot/mid" fires between the two payload writes: a crash there
+    // leaves only a torn tmp directory, which the commit never publishes.
+    return WriteStoreDir(
+        tmp, kSnapshotManifest,
+        {kSnapshotMagic, kSnapshotVersion,
+         {{"wal_seq", std::to_string(wal_seq)}}},
+        {{kSnapshotGraphFile, SerializeGraphSnapshot(graph)},
+         {kSnapshotStateFile, SerializeServeState(state)}},
+        "snapshot/mid");
+  });
 }
 
 Result<LoadedServeSnapshot> LoadServeSnapshot(const std::string& state_dir) {
   namespace fs = std::filesystem;
   const fs::path snap_dir = fs::path(state_dir) / kSnapshotDirName;
-  const fs::path manifest_path = snap_dir / kSnapshotManifest;
-  std::error_code ec;
-  if (!fs::exists(manifest_path, ec)) {
-    return Status::NotFound("no snapshot under " + state_dir);
-  }
-  auto manifest = ReadTextFile(manifest_path.string());
-  if (!manifest.ok()) return manifest.status();
-  std::istringstream in(manifest.value());
-  std::string key;
-  long long version = 0;
-  if (!(in >> key >> version) || key != "grgad_serve_snapshot_version" ||
-      version != 1) {
-    return Status::DataLoss("snapshot: bad or missing version header: " +
-                            manifest_path.string());
+  // The artifacts directory verifies itself through its own manifest inside
+  // LoadArtifacts.
+  auto store = ReadStoreDir(snap_dir.string(), kSnapshotManifest);
+  if (!store.ok()) return store.status();
+  const StoreDir& stored = store.value();
+  if (stored.header.magic != kSnapshotMagic ||
+      stored.header.version != kSnapshotVersion) {
+    return Status::DataLoss("snapshot: bad or missing version header under " +
+                            snap_dir.string());
   }
   LoadedServeSnapshot snap;
-  long long wal_seq = 0;
-  if (!(in >> key >> wal_seq) || key != "wal_seq" || wal_seq < 0) {
-    return Status::DataLoss("snapshot: bad wal_seq: " +
-                            manifest_path.string());
+  const std::string* wal_seq = stored.header.Find("wal_seq");
+  long long seq = 0;
+  if (wal_seq == nullptr || !TokenScanner(*wal_seq).I64(&seq) || seq < 0) {
+    return Status::DataLoss("snapshot: bad wal_seq under " +
+                            snap_dir.string());
   }
-  snap.wal_seq = static_cast<uint64_t>(wal_seq);
-  // Per-file size + checksum entries; the artifacts directory verifies
-  // itself through its own manifest inside LoadArtifacts.
-  auto read_verified = [&](const char* name) -> Result<std::string> {
-    std::string file_key;
-    std::string file_name;
-    long long size = 0;
-    std::string checksum;
-    if (!(in >> file_key >> file_name >> size >> checksum) ||
-        file_key != "file" || file_name != name || size < 0) {
-      return Status::DataLoss("snapshot: bad manifest entry for " +
-                              std::string(name));
-    }
-    auto contents = ReadTextFile((snap_dir / name).string());
-    if (!contents.ok()) {
-      if (contents.status().code() == StatusCode::kIoError) {
-        return Status::DataLoss("snapshot: missing or unreadable " +
-                                std::string(name) + ": " +
-                                contents.status().ToString());
-      }
-      return contents.status();
-    }
-    if (contents.value().size() != static_cast<size_t>(size) ||
-        HexU64(Fnv1a64(contents.value())) != checksum) {
-      return Status::DataLoss("snapshot: checksum mismatch in " +
-                              std::string(name));
-    }
-    return contents;
-  };
-  auto graph_text = read_verified(kSnapshotGraphFile);
-  if (!graph_text.ok()) return graph_text.status();
-  auto state_text = read_verified(kSnapshotStateFile);
-  if (!state_text.ok()) return state_text.status();
-  auto graph = ParseGraphSnapshot(graph_text.value());
+  snap.wal_seq = static_cast<uint64_t>(seq);
+  const std::string* graph_text = stored.Find(kSnapshotGraphFile);
+  const std::string* state_text = stored.Find(kSnapshotStateFile);
+  if (graph_text == nullptr || state_text == nullptr) {
+    return Status::DataLoss("snapshot: manifest does not list " +
+                            std::string(kSnapshotGraphFile) + " and " +
+                            kSnapshotStateFile);
+  }
+  auto graph = ParseGraphSnapshot(*graph_text);
   if (!graph.ok()) return graph.status();
   snap.graph = std::move(graph.value());
-  auto state = ParseServeState(state_text.value());
+  auto state = ParseServeState(*state_text);
   if (!state.ok()) return state.status();
   snap.state = std::move(state.value());
   auto artifacts = LoadArtifacts((snap_dir / kSnapshotArtifactsDir).string());

@@ -139,13 +139,14 @@ struct LoadedServeSnapshot {
   uint64_t wal_seq = 0;  ///< Highest WAL seq folded into this snapshot.
 };
 
-/// Atomically replaces <state_dir>/snapshot with the given state: staged in
-/// a sibling tmp directory (graph.txt, serve_state.txt, artifacts/ via
-/// WriteArtifactFiles, snapshot.txt manifest with sizes + checksums),
-/// fsynced, committed with CommitDirReplace. Fault point "snapshot/mid"
-/// fires inside staging — in crash mode the torn tmp directory is simply
-/// discarded by the next Open/Save. On ANY failure the previous snapshot
-/// is left intact.
+/// Atomically replaces <state_dir>/snapshot with the given state, on the
+/// checksummed-directory store of src/util/atomic_io.h: artifacts/ (written
+/// by WriteArtifactFiles, with its own manifest), graph.txt and
+/// serve_state.txt, and the snapshot.txt manifest with their sizes and
+/// checksums, staged and committed by StageDirReplace. Fault point
+/// "snapshot/mid" fires between the graph.txt and serve_state.txt writes —
+/// in crash mode the torn tmp directory is simply discarded by the next
+/// Save. On ANY failure the previous snapshot is left intact.
 Status SaveServeSnapshot(const std::string& state_dir, const Graph& graph,
                          const PipelineArtifacts& artifacts,
                          const ServeStateSnapshot& state, uint64_t wal_seq);

@@ -1,19 +1,25 @@
 // Crash-safe file primitives shared by every durable store.
 //
-// PR 6 proved the recipe inside the artifact store (write to a staged
-// sibling, fsync file-then-directory, commit by rename, checksum on read);
-// the write-ahead log and serve snapshots need the identical primitives, so
-// they live here instead of being re-derived per subsystem. All helpers
-// keep the artifact-layer fault points ("artifact/write", "artifact/read",
-// "artifact/fsync", "artifact/rename") so the existing seeded fault sweeps
-// exercise every durable path, old and new.
+// The artifact store and the serve snapshot are both checksummed
+// directories, and both run on the one store defined here: StageDirReplace
+// stages a replacement in `<dir>.tmp` and commits it by rename,
+// WriteStoreDir writes payload files plus a manifest recording each file's
+// size and FNV-1a checksum and fsyncs them, and ReadStoreDir verifies every
+// listed file before a caller parses anything. Payloads are parsed from
+// memory by TokenScanner. The write-ahead log shares the file primitives.
+// Every helper keeps the fault points "artifact/write", "artifact/read",
+// "artifact/fsync" and "artifact/rename", so the seeded fault sweeps
+// exercise every durable path.
 #ifndef GRGAD_UTIL_ATOMIC_IO_H_
 #define GRGAD_UTIL_ATOMIC_IO_H_
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <vector>
 
 #include "src/util/status.h"
 
@@ -65,16 +71,66 @@ Result<std::string> ReadTextFile(const std::string& path);
 /// the staging directory itself are durable.
 Status FsyncPath(const std::string& path, bool is_dir);
 
-/// Publishes staged directory `tmp` as `target` via the rename dance
-/// (target -> target.old, tmp -> target, drop .old), with the
-/// "artifact/rename" fault point checked first. rename(2) cannot replace a
-/// non-empty directory, hence the dance; a real rename failure restores the
-/// previous `target`, and a hard crash between the renames leaves `target`
-/// absent — NotFound on load, never a torn mixture that parses. Finishes
-/// with a best-effort parent-directory fsync (the commit already happened,
-/// so an fsync failure there must not fail the save). On error `tmp` is
-/// removed.
-Status CommitDirReplace(const std::string& tmp, const std::string& target);
+/// The first lines of a store manifest: "<magic> <version>", then one
+/// "<key> <value>" line per entry, in order.
+struct ManifestHeader {
+  std::string magic;
+  long long version = 0;
+  std::vector<std::pair<std::string, std::string>> values;
+
+  /// Value of the first entry named `key`, or null.
+  const std::string* Find(std::string_view key) const;
+};
+
+/// One payload file of a store directory.
+struct StoreFile {
+  std::string name;
+  std::string content;
+};
+
+/// Writes `files` and then the manifest `manifest_name` into directory
+/// `dir` (created if absent). The manifest is `header` followed by one
+/// "file <name> <bytes> <fnv1a-hex>" line per file. Every file, then `dir`
+/// itself, is fsynced. `between_files_fault`, when set, is a fault point
+/// checked between consecutive payload writes, so a crash can land in the
+/// middle of staging. Not atomic on its own: run it under StageDirReplace.
+Status WriteStoreDir(const std::string& dir, const std::string& manifest_name,
+                     const ManifestHeader& header,
+                     const std::vector<StoreFile>& files,
+                     const char* between_files_fault = nullptr);
+
+/// Atomically replaces directory `target` with what `write` stages. Stale
+/// `<target>.tmp` / `<target>.old` siblings from a crashed save are cleared,
+/// `<target>.tmp` is created and handed to `write`, and the result is
+/// published by the rename dance (target -> target.old, tmp -> target, drop
+/// .old) with the "artifact/rename" fault point checked first. rename(2)
+/// cannot replace a non-empty directory, hence the dance. On any failure
+/// the tmp directory is removed and the previous `target` is left intact; a
+/// hard crash between the renames leaves `target` absent — NotFound on
+/// load, never a torn mixture that parses. A final parent-directory fsync
+/// is best-effort, since the commit has already happened.
+Status StageDirReplace(const std::string& target,
+                       const std::function<Status(const std::string& tmp)>&
+                           write);
+
+/// A store directory whose listed files all passed their size and checksum
+/// checks, in manifest order.
+struct StoreDir {
+  ManifestHeader header;
+  std::vector<StoreFile> files;
+
+  /// Content of the listed file `name`, or null when the manifest does not
+  /// list it.
+  const std::string* Find(std::string_view name) const;
+};
+
+/// Reads the store directory `dir` written by WriteStoreDir. NotFound when
+/// `dir/manifest_name` is absent. DataLoss when the manifest is malformed,
+/// or when a listed file is missing, has the wrong size or fails its
+/// checksum; the message names the file. Each listed file is read once.
+/// The caller checks the header's magic, version and keys.
+Result<StoreDir> ReadStoreDir(const std::string& dir,
+                              const std::string& manifest_name);
 
 /// Whitespace-token scanner over an in-memory durable payload, the load-path
 /// counterpart of the append-only text writers above. istringstream
@@ -100,7 +156,9 @@ class TokenScanner {
   /// Next token parsed fully as a signed 64-bit integer / decimal double.
   bool I64(long long* out);
   bool F64(double* out);
-  /// Next token must be exactly 16 hex digits — the FormatDoubleBits wire
+  /// Next token must be exactly 16 hex digits — the HexU64 wire form.
+  bool Hex64(uint64_t* out);
+  /// Hex64 read as the raw bits of a double — the FormatDoubleBits wire
   /// form. Pure bit reassembly, no rounding anywhere to reason about.
   bool F64Bits(double* out);
   /// True when only whitespace remains (the "no trailing data" check).

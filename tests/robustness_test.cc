@@ -1,17 +1,25 @@
 // Fault-tolerance contracts: deadlines, stop reasons, retry backoff, arena
 // budgets, ensemble degradation, deterministic fault injection, and the
-// crash-safety of SaveArtifacts/LoadArtifacts (atomic replace + corruption
-// detection). Companion to tests/fault_stress_test.cc, which sweeps many
-// fault seeds; here each failure mode is pinned down individually.
+// crash-safety of the two checksummed directory stores — SaveArtifacts/
+// LoadArtifacts and SaveServeSnapshot/LoadServeSnapshot (pinned on-disk
+// bytes, atomic replace, corruption detection, strict payload parsing).
+// Companion to tests/fault_stress_test.cc, which sweeps many fault seeds;
+// here each failure mode is pinned down individually.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cfloat>
+#include <climits>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/core/artifacts.h"
@@ -20,12 +28,15 @@
 #include "src/core/run_context.h"
 #include "src/core/stages.h"
 #include "src/data/example_graph.h"
+#include "src/graph/graph.h"
 #include "src/od/ecod.h"
 #include "src/od/ensemble.h"
 #include "src/od/iforest.h"
 #include "src/od/lof.h"
+#include "src/serve/wal.h"
 #include "src/tensor/arena.h"
 #include "src/tensor/matrix.h"
+#include "src/util/atomic_io.h"
 #include "src/util/cancel.h"
 #include "src/util/fault.h"
 #include "src/util/retry.h"
@@ -571,6 +582,316 @@ TEST(ArtifactCorruptionTest, MissingDirectoryIsNotFound) {
   const auto loaded = LoadArtifacts(dir.string());
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kNotFound);
+}
+
+/// Rewrites `name` under artifact directory `dir` and re-records its size
+/// and checksum in the manifest, so only the payload parser can object.
+void RewriteListedFile(const fs::path& dir, const std::string& name,
+                       const std::string& content) {
+  WriteAll(dir / name, content);
+  std::istringstream in(ReadAll(dir / "manifest.txt"));
+  std::string manifest;
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("file " + name + " ", 0) == 0) {
+      line = "file " + name + " " + std::to_string(content.size()) + " " +
+             HexU64(Fnv1a64(content));
+    }
+    manifest += line + "\n";
+  }
+  WriteAll(dir / "manifest.txt", manifest);
+}
+
+TEST(ArtifactCorruptionTest, MalformedPayloadTokenIsTypedError) {
+  const fs::path dir = TempDir("malformed_token");
+  ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), dir.string()).ok());
+  const std::string scored = ReadAll(dir / "scored_groups.txt");
+  const std::string embeddings = ReadAll(dir / "embeddings.txt");
+
+  // A bad node id mid-row must not silently truncate the group.
+  std::string edited = scored;
+  const size_t row1 = edited.find('\n') + 1;
+  edited.replace(row1, edited.find('\n', row1) - row1,
+                 "61.349178714970229 0 x7 5 1878");
+  RewriteListedFile(dir, "scored_groups.txt", edited);
+  auto loaded = LoadArtifacts(dir.string());
+  ASSERT_FALSE(loaded.ok()) << "bad node id loaded as a shorter group";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("scored_groups.txt"),
+            std::string::npos)
+      << loaded.status().ToString();
+  RewriteListedFile(dir, "scored_groups.txt", scored);
+  ASSERT_TRUE(LoadArtifacts(dir.string()).ok());
+
+  // Every payload rejects data past its declared shape.
+  RewriteListedFile(dir, "embeddings.txt", embeddings + "0.5\n");
+  loaded = LoadArtifacts(dir.string());
+  ASSERT_FALSE(loaded.ok()) << "trailing matrix token was ignored";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("embeddings.txt"),
+            std::string::npos)
+      << loaded.status().ToString();
+  fs::remove_all(dir);
+}
+
+TEST(ArtifactCorruptionTest, V1ManifestIsUnsupported) {
+  const fs::path dir = TempDir("v1_manifest");
+  ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), dir.string()).ok());
+  // A v1 header with every payload still present: the format is gone, not
+  // merely unverifiable.
+  WriteAll(dir / "manifest.txt", "grgad_artifacts_version 1\nseed 7\n");
+  const auto loaded = LoadArtifacts(dir.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("unsupported artifact version"),
+            std::string::npos)
+      << loaded.status().ToString();
+  fs::remove_all(dir);
+}
+
+TEST(ArtifactCorruptionTest, MissingCountKeyIsDataLoss) {
+  const fs::path dir = TempDir("missing_count");
+  ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), dir.string()).ok());
+  std::string text = ReadAll(dir / "manifest.txt");
+  const size_t pos = text.find("num_scores ");
+  ASSERT_NE(pos, std::string::npos);
+  text.erase(pos, text.find('\n', pos) + 1 - pos);
+  WriteAll(dir / "manifest.txt", text);
+  const auto loaded = LoadArtifacts(dir.string());
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss);
+  EXPECT_NE(loaded.status().message().find("num_scores"), std::string::npos)
+      << loaded.status().ToString();
+  fs::remove_all(dir);
+}
+
+TEST(ArtifactCorruptionTest, MalformedManifestLineIsDataLoss) {
+  const fs::path dir = TempDir("malformed_manifest");
+  ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), dir.string()).ok());
+  const std::string pristine = ReadAll(dir / "manifest.txt");
+  const std::string anchors = ReadAll(dir / "anchors.txt");
+  const std::string anchors_entry = "file anchors.txt " +
+                                    std::to_string(anchors.size()) + " " +
+                                    HexU64(Fnv1a64(anchors));
+  ASSERT_NE(pristine.find(anchors_entry), std::string::npos);
+  const std::vector<std::pair<std::string, std::string>> edits = {
+      {"seed 7\n", "seed 7 8\n"},               // Extra token on a key line.
+      {"seed 7\n", "seed\n"},                   // Key without a value.
+      {anchors_entry, "file anchors.txt 6"},    // Entry without checksum.
+      {anchors_entry, anchors_entry + " x"},    // Entry with trailing data.
+      {anchors_entry, "file ../anchors.txt 0 cbf29ce484222325"},  // Escape.
+  };
+  for (const auto& [from, to] : edits) {
+    std::string text = pristine;
+    text.replace(text.find(from), from.size(), to);
+    WriteAll(dir / "manifest.txt", text);
+    const auto loaded = LoadArtifacts(dir.string());
+    ASSERT_FALSE(loaded.ok()) << to;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+        << to << ": " << loaded.status().ToString();
+  }
+  fs::remove_all(dir);
+}
+
+// ---- on-disk format ---------------------------------------------------------
+
+/// FNV-1a 64 of every file under `dir`, keyed by path relative to it.
+std::vector<std::pair<std::string, std::string>> FileChecksums(
+    const fs::path& dir) {
+  std::vector<std::pair<std::string, std::string>> sums;
+  for (const auto& entry : fs::recursive_directory_iterator(dir)) {
+    if (!entry.is_regular_file()) continue;
+    sums.emplace_back(fs::relative(entry.path(), dir).string(),
+                      HexU64(Fnv1a64(ReadAll(entry.path()))));
+  }
+  std::sort(sums.begin(), sums.end());
+  return sums;
+}
+
+TEST(ArtifactFormatTest, SavedBytesArePinned) {
+  const fs::path dir = TempDir("format_golden");
+  ASSERT_TRUE(SaveArtifacts(SmallArtifacts(), dir.string()).ok());
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"anchors.txt", "b64cc60121dd45c5"},
+      {"embeddings.txt", "d39006e0abaaf1ab"},
+      {"groups.txt", "ecf8c78097f7b8fe"},
+      {"manifest.txt", "26631d75b3a48ffb"},
+      {"node_errors.txt", "7c94efed8e206a6a"},
+      {"scored_groups.txt", "fa1fb8c8f6062053"},
+      {"scores.txt", "a52a99ca18568128"},
+      {"tpgcl_loss.txt", "974d779d061a8451"},
+  };
+  EXPECT_EQ(FileChecksums(dir), golden);
+  fs::remove_all(dir);
+}
+
+uint64_t Bits(double v) {
+  uint64_t bits;
+  std::memcpy(&bits, &v, sizeof bits);
+  return bits;
+}
+
+std::vector<uint64_t> Bits(const std::vector<double>& v) {
+  std::vector<uint64_t> out;
+  for (double x : v) out.push_back(Bits(x));
+  return out;
+}
+
+void ExpectArtifactsBitwiseEqual(const PipelineArtifacts& a,
+                                 const PipelineArtifacts& b) {
+  EXPECT_EQ(a.seed, b.seed);
+  EXPECT_EQ(a.anchors, b.anchors);
+  EXPECT_EQ(a.candidate_groups, b.candidate_groups);
+  ASSERT_EQ(a.group_embeddings.rows(), b.group_embeddings.rows());
+  ASSERT_EQ(a.group_embeddings.cols(), b.group_embeddings.cols());
+  for (size_t i = 0; i < a.group_embeddings.rows(); ++i) {
+    for (size_t j = 0; j < a.group_embeddings.cols(); ++j) {
+      EXPECT_EQ(Bits(a.group_embeddings(i, j)), Bits(b.group_embeddings(i, j)))
+          << i << "," << j;
+    }
+  }
+  EXPECT_EQ(Bits(a.group_scores), Bits(b.group_scores));
+  ASSERT_EQ(a.scored_groups.size(), b.scored_groups.size());
+  for (size_t i = 0; i < a.scored_groups.size(); ++i) {
+    EXPECT_EQ(a.scored_groups[i].nodes, b.scored_groups[i].nodes);
+    EXPECT_EQ(Bits(a.scored_groups[i].score), Bits(b.scored_groups[i].score));
+  }
+  EXPECT_EQ(Bits(a.gae_node_errors), Bits(b.gae_node_errors));
+  EXPECT_EQ(Bits(a.tpgcl_loss_history), Bits(b.tpgcl_loss_history));
+}
+
+TEST(ArtifactFormatTest, EdgeValuesRoundTripBitwise) {
+  using Limits = std::numeric_limits<double>;
+  const std::vector<double> edges = {
+      0.0,           -0.0,           Limits::denorm_min(), DBL_MAX,
+      Limits::infinity(), -Limits::infinity(), Limits::quiet_NaN(),
+      -Limits::quiet_NaN()};
+  PipelineArtifacts a;
+  a.seed = UINT64_MAX;
+  a.anchors = {0, INT_MAX};
+  a.candidate_groups = {{1, 2}, {}, {3}};
+  a.group_embeddings = Matrix(2, edges.size());
+  for (size_t j = 0; j < edges.size(); ++j) {
+    a.group_embeddings(0, j) = edges[j];
+    a.group_embeddings(1, j) = -edges[j];
+  }
+  a.group_scores = edges;
+  for (double v : edges) a.scored_groups.push_back({{}, v});
+  a.scored_groups.push_back({{INT_MIN, 0, 5}, 1.0});
+  a.gae_node_errors = edges;
+  a.tpgcl_loss_history = edges;
+
+  const fs::path dir = TempDir("edge_values");
+  ASSERT_TRUE(SaveArtifacts(a, dir.string()).ok());
+  auto loaded = LoadArtifacts(dir.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectArtifactsBitwiseEqual(loaded.value(), a);
+
+  // Zero groups (and nothing else) is distinct from one empty group.
+  const PipelineArtifacts empty;
+  ASSERT_TRUE(SaveArtifacts(empty, dir.string()).ok());
+  loaded = LoadArtifacts(dir.string());
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  ExpectArtifactsBitwiseEqual(loaded.value(), empty);
+  EXPECT_TRUE(loaded.value().candidate_groups.empty());
+  fs::remove_all(dir);
+}
+
+// ---- serve snapshots --------------------------------------------------------
+
+/// A fixed serving state small enough to pin byte for byte.
+struct SnapshotInput {
+  Graph graph;
+  PipelineArtifacts artifacts = SmallArtifacts();
+  ServeStateSnapshot state;
+};
+
+SnapshotInput FixedSnapshotInput() {
+  SnapshotInput in;
+  GraphBuilder builder(5);
+  builder.AddEdge(0, 1);
+  builder.AddEdge(1, 2);
+  builder.AddEdge(2, 3);
+  builder.AddEdge(3, 4);
+  builder.AddEdge(0, 4);
+  Matrix attrs(5, 2);
+  for (size_t i = 0; i < 5; ++i) {
+    attrs(i, 0) = 0.5 * static_cast<double>(i);
+    attrs(i, 1) = -1.0 / static_cast<double>(i + 1);
+  }
+  in.graph = builder.Build(std::move(attrs));
+  in.state.all_dirty = false;
+  in.state.dirty_anchor_indices = {0, 2};
+  in.state.refresh_primed = true;
+  in.state.refresh_per_anchor = {{{0, 1, 2}}, {{3, 4}, {}}, {}};
+  return in;
+}
+
+TEST(SnapshotFormatTest, SavedBytesArePinned) {
+  const fs::path dir = TempDir("snapshot_golden");
+  fs::create_directories(dir);
+  const SnapshotInput in = FixedSnapshotInput();
+  ASSERT_TRUE(SaveServeSnapshot(dir.string(), in.graph, in.artifacts,
+                                in.state, /*wal_seq=*/9)
+                  .ok());
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"artifacts/anchors.txt", "b64cc60121dd45c5"},
+      {"artifacts/embeddings.txt", "d39006e0abaaf1ab"},
+      {"artifacts/groups.txt", "ecf8c78097f7b8fe"},
+      {"artifacts/manifest.txt", "26631d75b3a48ffb"},
+      {"artifacts/node_errors.txt", "7c94efed8e206a6a"},
+      {"artifacts/scored_groups.txt", "fa1fb8c8f6062053"},
+      {"artifacts/scores.txt", "a52a99ca18568128"},
+      {"artifacts/tpgcl_loss.txt", "974d779d061a8451"},
+      {"graph.txt", "a46ddf23fd99052f"},
+      {"serve_state.txt", "8cee561a8b7795e9"},
+      {"snapshot.txt", "558ad87be296e1ff"},
+  };
+  EXPECT_EQ(FileChecksums(dir / "snapshot"), golden);
+  fs::remove_all(dir);
+}
+
+TEST(SnapshotCorruptionTest, EveryFileEveryCorruptionYieldsTypedError) {
+  const fs::path dir = TempDir("snapshot_corruption");
+  fs::create_directories(dir);
+  const SnapshotInput in = FixedSnapshotInput();
+  ASSERT_TRUE(SaveServeSnapshot(dir.string(), in.graph, in.artifacts,
+                                in.state, /*wal_seq=*/9)
+                  .ok());
+  const fs::path snap = dir / "snapshot";
+  const auto files = FileChecksums(snap);
+  ASSERT_EQ(files.size(), 11u);
+
+  for (const auto& [name, sum] : files) {
+    const fs::path target = snap / name;
+    const std::string pristine = ReadAll(target);
+    ASSERT_GT(pristine.size(), 4u) << name;
+    const bool is_manifest = target.filename() == "snapshot.txt" ||
+                             target.filename() == "manifest.txt";
+
+    for (const char* mode : {"truncate", "flip", "remove"}) {
+      if (std::string(mode) == "truncate") {
+        WriteAll(target, pristine.substr(0, pristine.size() - 3));
+      } else if (std::string(mode) == "flip") {
+        std::string flipped = pristine;
+        flipped[flipped.size() / 2] ^= 0x01;
+        WriteAll(target, flipped);
+      } else {
+        fs::remove(target);
+      }
+
+      const auto loaded = LoadServeSnapshot(dir.string());
+      ASSERT_FALSE(loaded.ok()) << name << " " << mode;
+      if (!is_manifest) {
+        EXPECT_EQ(loaded.status().code(), StatusCode::kDataLoss)
+            << name << " " << mode << ": " << loaded.status().ToString();
+      }
+
+      WriteAll(target, pristine);  // Restore for the next mode.
+    }
+  }
+  EXPECT_TRUE(LoadServeSnapshot(dir.string()).ok());
+  fs::remove_all(dir);
 }
 
 // ---- full pipeline round trip under an armed-but-quiet injector -------------
