@@ -46,18 +46,20 @@
 #include "src/od/iforest.h"
 #include "src/od/knn.h"
 #include "src/od/lof.h"
-#include "src/od/reference_detectors.h"
 #include "src/sampling/pattern_search.h"
 #include "src/serve/server.h"
 #include "src/serve/wal.h"
 #include "src/tensor/arena.h"
 #include "src/tensor/matrix.h"
-#include "src/tensor/reference_kernels.h"
 #include "src/tensor/sparse.h"
+#include "src/util/atomic_io.h"
+#include "src/util/json.h"
 #include "src/util/parallel.h"
 #include "src/util/rng.h"
 #include "src/util/timer.h"
 #include "src/viz/tsne.h"
+#include "tests/reference/reference_detectors.h"
+#include "tests/reference/reference_kernels.h"
 
 namespace grgad {
 namespace {
@@ -1077,6 +1079,20 @@ std::vector<MutationResult> MeasureDurability() {
   return results;
 }
 
+/// Opens one micro.json table entry with the members every timed table
+/// shares: name, shape, then seed_ms, opt_ms and speedup (seed_ms and
+/// speedup only for entries with a baseline side, seed_ms > 0). The caller
+/// adds its own members and closes the entry.
+void TimedEntry(JsonWriter* json, const std::string& name,
+                const std::string& shape, double seed_ms, double opt_ms) {
+  json->Object().Key("name").Str(name).Key("shape").Str(shape);
+  if (seed_ms > 0.0) json->Key("seed_ms").Num(seed_ms);
+  json->Key("opt_ms").Num(opt_ms);
+  if (seed_ms > 0.0) {
+    json->Key("speedup").Num(seed_ms / (opt_ms > 0.0 ? opt_ms : 1e-9));
+  }
+}
+
 void WriteMicroJson() {
   // Epochs and candidates are measured FIRST, on a cold allocator: glibc's
   // trim/mmap thresholds ratchet up under the kernel benchmarks' large
@@ -1108,119 +1124,69 @@ void WriteMicroJson() {
   const std::vector<MutationResult> durability = MeasureDurability();
   std::error_code ec;
   std::filesystem::create_directories("bench_results", ec);
+  JsonWriter json;
+  json.Object()
+      .Key("schema").Str("grgad-micro-v8")
+      .Key("threads").Int(ParallelismDegree());
+  json.Key("candidates").Array();
+  for (const CandidateResult& r : candidates) {
+    TimedEntry(&json, r.name, r.shape, r.seed_ms, r.opt_ms);
+    if (r.steady_workspace_allocs >= 0) {
+      json.Key("workspace").Object()
+          .Key("steady_heap_allocs").Int(r.steady_workspace_allocs)
+          .End();
+    }
+    json.End();
+  }
+  json.End().Key("kernels").Array();
+  for (const KernelResult& r : results) {
+    TimedEntry(&json, r.name, r.shape, r.seed_ms, r.opt_ms);
+    json.End();
+  }
+  json.End().Key("scoring").Array();
+  for (const ScoringResult& r : scoring) {
+    TimedEntry(&json, r.name, r.shape, r.seed_ms, r.opt_ms);
+    json.End();
+  }
+  json.End().Key("epochs").Array();
+  for (const EpochResult& r : epochs) {
+    TimedEntry(&json, r.name, r.shape, /*seed_ms=*/0.0, r.opt_ms);
+    json.Key("arena").Object()
+        .Key("warmup_heap_allocs").Int(r.warmup_heap_allocs)
+        .Key("steady_fit_heap_allocs").Int(r.steady_heap_allocs)
+        .Key("steady_reused_per_epoch").Int(r.steady_reused)
+        .Key("steady_bytes_served_per_epoch").Int(r.steady_bytes_served)
+        .End()
+        .End();
+  }
+  json.End().Key("serve").Array();
+  for (const ServeResult& r : serve) {
+    json.Object()
+        .Key("name").Str(r.name)
+        .Key("mean_ms").Num(r.mean_ms)
+        .Key("min_ms").Num(r.min_ms)
+        .Key("round_trips").Int(r.round_trips)
+        .End();
+  }
+  json.End().Key("mutations").Array();
+  for (const MutationResult& r : mutations) {
+    TimedEntry(&json, r.name, r.shape, r.seed_ms, r.opt_ms);
+    if (r.fanout >= 0.0) json.Key("fanout").Num(r.fanout);
+    json.End();
+  }
+  json.End().Key("durability").Array();
+  for (const MutationResult& r : durability) {
+    TimedEntry(&json, r.name, r.shape, r.seed_ms, r.opt_ms);
+    json.End();
+  }
+  json.End().End();
   const char* path = "bench_results/micro.json";
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::printf("  !! could not write %s\n", path);
+  const Status written = WriteTextFile(path, json.Take() + "\n");
+  if (!written.ok()) {
+    std::printf("  !! could not write %s: %s\n", path,
+                written.ToString().c_str());
     return;
   }
-  std::fprintf(f, "{\n");
-  std::fprintf(f, "  \"schema\": \"grgad-micro-v8\",\n");
-  std::fprintf(f, "  \"threads\": %d,\n", ParallelismDegree());
-  std::fprintf(f, "  \"candidates\": [\n");
-  for (size_t i = 0; i < candidates.size(); ++i) {
-    const CandidateResult& r = candidates[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"shape\": \"%s\"",
-                 r.name.c_str(), r.shape.c_str());
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"seed_ms\": %.6f", r.seed_ms);
-    }
-    std::fprintf(f, ", \"opt_ms\": %.6f", r.opt_ms);
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"speedup\": %.3f",
-                   r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9));
-    }
-    if (r.steady_workspace_allocs >= 0) {
-      std::fprintf(f,
-                   ", \"workspace\": {\"steady_heap_allocs\": %lld}",
-                   static_cast<long long>(r.steady_workspace_allocs));
-    }
-    std::fprintf(f, "}%s\n", i + 1 < candidates.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"kernels\": [\n");
-  for (size_t i = 0; i < results.size(); ++i) {
-    const KernelResult& r = results[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"shape\": \"%s\", "
-                 "\"seed_ms\": %.6f, \"opt_ms\": %.6f, \"speedup\": %.3f}%s\n",
-                 r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                 r.seed_ms / r.opt_ms, i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"scoring\": [\n");
-  for (size_t i = 0; i < scoring.size(); ++i) {
-    const ScoringResult& r = scoring[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"shape\": \"%s\", "
-                 "\"seed_ms\": %.6f, \"opt_ms\": %.6f, \"speedup\": %.3f}%s\n",
-                 r.name.c_str(), r.shape.c_str(), r.seed_ms, r.opt_ms,
-                 r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9),
-                 i + 1 < scoring.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"epochs\": [\n");
-  for (size_t i = 0; i < epochs.size(); ++i) {
-    const EpochResult& r = epochs[i];
-    std::fprintf(
-        f,
-        "    {\"name\": \"%s\", \"shape\": \"%s\", \"opt_ms\": %.6f, "
-        "\"arena\": {\"warmup_heap_allocs\": %llu, "
-        "\"steady_fit_heap_allocs\": %llu, "
-        "\"steady_reused_per_epoch\": %llu, "
-        "\"steady_bytes_served_per_epoch\": %llu}}%s\n",
-        r.name.c_str(), r.shape.c_str(), r.opt_ms,
-        static_cast<unsigned long long>(r.warmup_heap_allocs),
-        static_cast<unsigned long long>(r.steady_heap_allocs),
-        static_cast<unsigned long long>(r.steady_reused),
-        static_cast<unsigned long long>(r.steady_bytes_served),
-        i + 1 < epochs.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"serve\": [\n");
-  for (size_t i = 0; i < serve.size(); ++i) {
-    const ServeResult& r = serve[i];
-    std::fprintf(f,
-                 "    {\"name\": \"%s\", \"mean_ms\": %.6f, "
-                 "\"min_ms\": %.6f, \"round_trips\": %d}%s\n",
-                 r.name.c_str(), r.mean_ms, r.min_ms, r.round_trips,
-                 i + 1 < serve.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"mutations\": [\n");
-  for (size_t i = 0; i < mutations.size(); ++i) {
-    const MutationResult& r = mutations[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"shape\": \"%s\"",
-                 r.name.c_str(), r.shape.c_str());
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"seed_ms\": %.6f", r.seed_ms);
-    }
-    std::fprintf(f, ", \"opt_ms\": %.6f", r.opt_ms);
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"speedup\": %.3f",
-                   r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9));
-    }
-    if (r.fanout >= 0.0) std::fprintf(f, ", \"fanout\": %.2f", r.fanout);
-    std::fprintf(f, "}%s\n", i + 1 < mutations.size() ? "," : "");
-  }
-  std::fprintf(f, "  ],\n");
-  std::fprintf(f, "  \"durability\": [\n");
-  for (size_t i = 0; i < durability.size(); ++i) {
-    const MutationResult& r = durability[i];
-    std::fprintf(f, "    {\"name\": \"%s\", \"shape\": \"%s\"",
-                 r.name.c_str(), r.shape.c_str());
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"seed_ms\": %.6f", r.seed_ms);
-    }
-    std::fprintf(f, ", \"opt_ms\": %.6f", r.opt_ms);
-    if (r.seed_ms > 0.0) {
-      std::fprintf(f, ", \"speedup\": %.3f",
-                   r.seed_ms / (r.opt_ms > 0.0 ? r.opt_ms : 1e-9));
-    }
-    std::fprintf(f, "}%s\n", i + 1 < durability.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
   std::printf("  -> wrote %s\n", path);
 }
 

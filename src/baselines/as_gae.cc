@@ -5,6 +5,7 @@
 
 #include "src/baselines/group_extraction.h"
 #include "src/graph/algorithms.h"
+#include "src/graph/traversal_workspace.h"
 
 namespace grgad {
 
@@ -44,8 +45,10 @@ std::vector<ScoredGroup> AsGae::DetectGroups(const Graph& g) const {
     }
   }
   std::sort(closure.begin(), closure.end());
+  TraversalWorkspacePool::Lease ws =
+      TraversalWorkspacePool::Global().Acquire();
   std::vector<ScoredGroup> out;
-  for (auto& component : ComponentsOfSubset(g, closure)) {
+  for (auto& component : ComponentsOfSubset(g, closure, ws.get())) {
     out.push_back(CapAndScoreGroup(std::move(component), scores,
                                    options_.max_group_size));
   }

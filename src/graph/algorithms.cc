@@ -133,21 +133,6 @@ bool BellmanFord(const Graph& g, int src, const std::vector<double>& weights,
   return !negative_cycle;
 }
 
-std::vector<int> BellmanFordPath(const Graph& g, int src, int dst,
-                                 const std::vector<double>& weights) {
-  std::vector<double> dist;
-  std::vector<int> parent;
-  if (!BellmanFord(g, src, weights, &dist, &parent)) return {};
-  if (parent[dst] == -1) return {};
-  std::vector<int> path = {dst};
-  for (int v = dst; v != src; v = parent[v]) {
-    path.push_back(parent[v]);
-    if (path.size() > static_cast<size_t>(g.num_nodes())) return {};
-  }
-  std::reverse(path.begin(), path.end());
-  return path;
-}
-
 void Dijkstra(const Graph& g, int src,
               const std::function<double(int, int)>& cost,
               std::vector<double>* dist, std::vector<int>* parent,
@@ -218,55 +203,6 @@ void Dijkstra(const Graph& g, int src, std::span<const double> slot_costs,
   }
 }
 
-std::vector<int> ConnectedComponents(const Graph& g) {
-  std::vector<int> comp(g.num_nodes(), -1);
-  int next = 0;
-  std::deque<int> queue;
-  for (int s = 0; s < g.num_nodes(); ++s) {
-    if (comp[s] != -1) continue;
-    comp[s] = next;
-    queue.push_back(s);
-    while (!queue.empty()) {
-      const int u = queue.front();
-      queue.pop_front();
-      for (int w : g.Neighbors(u)) {
-        if (comp[w] == -1) {
-          comp[w] = next;
-          queue.push_back(w);
-        }
-      }
-    }
-    ++next;
-  }
-  return comp;
-}
-
-std::span<const int> ConnectedComponents(const Graph& g,
-                                         TraversalWorkspace* ws) {
-  GRGAD_CHECK(ws != nullptr);
-  ws->Begin(g.num_nodes());
-  int next = 0;
-  for (int s = 0; s < g.num_nodes(); ++s) {
-    if (ws->Seen(s)) continue;
-    ws->Mark(s);
-    ws->comp[s] = next;
-    ws->order.clear();
-    ws->order.push_back(s);
-    for (size_t head = 0; head < ws->order.size(); ++head) {
-      const int u = ws->order[head];
-      for (int w : g.Neighbors(u)) {
-        if (!ws->Seen(w)) {
-          ws->Mark(w);
-          ws->comp[w] = next;
-          ws->order.push_back(w);
-        }
-      }
-    }
-    ++next;
-  }
-  return {ws->comp.data(), static_cast<size_t>(g.num_nodes())};
-}
-
 std::vector<std::vector<int>> ComponentsOfSubset(
     const Graph& g, const std::vector<int>& nodes) {
   std::unordered_set<int> in_set(nodes.begin(), nodes.end());
@@ -327,36 +263,6 @@ std::vector<std::vector<int>> ComponentsOfSubset(const Graph& g,
     groups.push_back(std::move(group));
   }
   return groups;
-}
-
-std::vector<int> KHopNeighborhood(const Graph& g, int v, int k) {
-  const std::vector<int> dist = BfsDistances(g, v, k);
-  std::vector<int> out;
-  for (int u = 0; u < g.num_nodes(); ++u) {
-    if (dist[u] != kUnreachable) out.push_back(u);
-  }
-  return out;
-}
-
-double ClusteringCoefficient(const Graph& g, int v) {
-  auto nb = g.Neighbors(v);
-  const int d = static_cast<int>(nb.size());
-  if (d < 2) return 0.0;
-  int links = 0;
-  for (size_t i = 0; i < nb.size(); ++i) {
-    for (size_t j = i + 1; j < nb.size(); ++j) {
-      if (g.HasEdge(nb[i], nb[j])) ++links;
-    }
-  }
-  return 2.0 * links / (static_cast<double>(d) * (d - 1));
-}
-
-double MeanNeighborDegree(const Graph& g, int v) {
-  auto nb = g.Neighbors(v);
-  if (nb.empty()) return 0.0;
-  double s = 0.0;
-  for (int w : nb) s += g.Degree(w);
-  return s / static_cast<double>(nb.size());
 }
 
 }  // namespace grgad

@@ -78,11 +78,6 @@ bool BellmanFord(const Graph& g, int src, const std::vector<double>& weights,
 bool BellmanFord(const Graph& g, int src, const std::vector<double>& weights,
                  TraversalWorkspace* ws);
 
-/// Weighted shortest path via Bellman–Ford; empty when unreachable or a
-/// negative cycle exists.
-std::vector<int> BellmanFordPath(const Graph& g, int src, int dst,
-                                 const std::vector<double>& weights);
-
 /// Dijkstra single-source shortest paths with non-negative per-edge costs
 /// given by `cost(u, v)` (must be symmetric). dist is +inf where
 /// unreachable; parent[src] == src, -1 where unreachable. `max_cost`
@@ -154,14 +149,6 @@ void BuildBfsTree(const G& g, int root, int max_depth,
   }
 }
 
-/// Connected-component labels in [0, #components).
-std::vector<int> ConnectedComponents(const Graph& g);
-
-/// Workspace-backed ConnectedComponents: labels (same values) in ws->comp;
-/// the returned span is valid until the workspace's next traversal.
-std::span<const int> ConnectedComponents(const Graph& g,
-                                         TraversalWorkspace* ws);
-
 /// Partitions `nodes` into the connected components of the subgraph they
 /// induce; each returned group is sorted.
 std::vector<std::vector<int>> ComponentsOfSubset(const Graph& g,
@@ -172,9 +159,6 @@ std::vector<std::vector<int>> ComponentsOfSubset(const Graph& g,
 std::vector<std::vector<int>> ComponentsOfSubset(const Graph& g,
                                                  const std::vector<int>& nodes,
                                                  TraversalWorkspace* ws);
-
-/// All nodes within k hops of v (including v).
-std::vector<int> KHopNeighborhood(const Graph& g, int v, int k);
 
 namespace internal {
 
@@ -286,12 +270,6 @@ std::span<const std::vector<int>> CyclesThrough(const G& g, int v, int max_len,
   }
   return ws->Cycles();
 }
-
-/// Local clustering coefficient of v (0 when deg < 2).
-double ClusteringCoefficient(const Graph& g, int v);
-
-/// Mean degree of v's neighbors (0 for isolated nodes).
-double MeanNeighborDegree(const Graph& g, int v);
 
 }  // namespace grgad
 

@@ -28,7 +28,6 @@ void TraversalWorkspace::EnsureSize(int n) {
   hop.resize(n);
   parent.resize(n);
   dist.resize(n);
-  comp.resize(n);
   order.reserve(n);
   heap.reserve(n);
   // Pre-create a default complement of cycle slots and DFS-stack capacity

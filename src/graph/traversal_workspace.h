@@ -100,7 +100,6 @@ class TraversalWorkspace {
   std::vector<int> hop;                     ///< BFS depths / hop distances.
   std::vector<int> parent;                  ///< Traversal back-pointers.
   std::vector<int> order;                   ///< BFS queue == visit order.
-  std::vector<int> comp;                    ///< Component labels.
   std::vector<double> dist;                 ///< Weighted distances.
   std::vector<std::pair<double, int>> heap; ///< Dijkstra priority queue.
   std::vector<int> path;                    ///< Cycle-DFS node stack.

@@ -9,7 +9,8 @@
 // streams change the forest (and therefore the scores) relative to the
 // pre-scoring-stage implementation, which threaded ONE sequential stream
 // through all trees and could not parallelize; that original is frozen
-// verbatim in src/od/reference_detectors.h as the benchmark baseline.
+// verbatim in tests/reference/reference_detectors.h as the benchmark
+// baseline.
 #ifndef GRGAD_OD_IFOREST_H_
 #define GRGAD_OD_IFOREST_H_
 

@@ -16,7 +16,7 @@
 // matrix, with per-row partial selection parallelized over the pool. Ties
 // break deterministically (distance, then id) and the index is bitwise
 // reproducible across runs and GRGAD_THREADS; distances differ from the
-// scalar reference loop (src/od/reference_detectors.h) only in FP
+// scalar reference loop (tests/reference/reference_detectors.h) only in FP
 // contraction (rank-level contract, see PERF.md "Scoring stage").
 #ifndef GRGAD_OD_NEIGHBOR_INDEX_H_
 #define GRGAD_OD_NEIGHBOR_INDEX_H_

@@ -1,11 +1,9 @@
 #include "src/serve/metrics.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdio>
 
 #include "src/graph/traversal_workspace.h"
-#include "src/serve/request.h"
+#include "src/util/json.h"
 
 namespace grgad {
 namespace {
@@ -16,13 +14,6 @@ constexpr double kLatencyUppersMs[] = {1,   2,    5,    10,   25,   50,  100,
                                        250, 500,  1000, 2500, 5000, 10000};
 constexpr size_t kNumLatencyUppers =
     sizeof(kLatencyUppersMs) / sizeof(kLatencyUppersMs[0]);
-
-std::string Num(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
 
 }  // namespace
 
@@ -141,123 +132,118 @@ void ServeMetrics::RecordDurabilityError(const Status& status) {
 std::string ServeMetrics::SnapshotJson(size_t queue_depth,
                                        const MatrixArena* arena) const {
   std::lock_guard<std::mutex> lock(mu_);
-  std::string out = "{\"schema\": \"grgad-serve-metrics-v3\"";
+  JsonWriter json;
+  json.Object().Key("schema").Str("grgad-serve-metrics-v3");
 
-  out += ", \"queue\": {\"capacity\": " + std::to_string(queue_capacity_) +
-         ", \"depth\": " + std::to_string(queue_depth) +
-         ", \"peak_depth\": " + std::to_string(peak_depth_) +
-         ", \"admitted\": " + std::to_string(admitted_) +
-         ", \"rejected\": " + std::to_string(rejected_) + "}";
+  json.Key("queue").Object()
+      .Key("capacity").Int(queue_capacity_)
+      .Key("depth").Int(queue_depth)
+      .Key("peak_depth").Int(peak_depth_)
+      .Key("admitted").Int(admitted_)
+      .Key("rejected").Int(rejected_)
+      .End();
 
-  out += ", \"requests\": {\"total\": ";
-  out += std::to_string(requests_);
-  out += ", \"errors\": ";
-  out += std::to_string(request_errors_);
-  out += ", \"by_op\": {";
-  bool first = true;
+  json.Key("requests").Object()
+      .Key("total").Int(requests_)
+      .Key("errors").Int(request_errors_)
+      .Key("by_op").Object();
   for (const auto& [op, stats] : by_op_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"";
-    out += JsonEscapeText(op);
-    out += "\": {\"count\": ";
-    out += std::to_string(stats.count);
-    out += ", \"errors\": ";
-    out += std::to_string(stats.errors);
-    out += ", \"total_ms\": ";
-    out += Num(stats.total_ms);
-    out += "}";
+    json.Key(op).Object()
+        .Key("count").Int(stats.count)
+        .Key("errors").Int(stats.errors)
+        .Key("total_ms").Num(stats.total_ms)
+        .End();
   }
-  out += "}}";
+  json.End().End();
 
   const double mean_batch =
       batches_ > 0
           ? static_cast<double>(batched_requests_) / static_cast<double>(batches_)
           : 0.0;
-  out += ", \"batches\": {\"count\": " + std::to_string(batches_) +
-         ", \"max_size\": " + std::to_string(max_batch_size_) +
-         ", \"mean_size\": " + Num(mean_batch) +
-         ", \"exec_seconds\": " + Num(batch_exec_seconds_) + "}";
+  json.Key("batches").Object()
+      .Key("count").Int(batches_)
+      .Key("max_size").Int(max_batch_size_)
+      .Key("mean_size").Num(mean_batch)
+      .Key("exec_seconds").Num(batch_exec_seconds_)
+      .End();
 
-  out += ", \"latency_ms\": {\"buckets\": [";
+  json.Key("latency_ms").Object().Key("buckets").Array();
   for (size_t i = 0; i < latency_buckets_.size(); ++i) {
-    if (i) out += ", ";
-    out += "{\"le\": ";
-    out += i < kNumLatencyUppers ? Num(kLatencyUppersMs[i]) : "null";
-    out += ", \"count\": " + std::to_string(latency_buckets_[i]) + "}";
+    json.Object().Key("le");
+    if (i < kNumLatencyUppers) {
+      json.Num(kLatencyUppersMs[i]);
+    } else {
+      json.Raw("null");  // The +inf tail bucket.
+    }
+    json.Key("count").Int(latency_buckets_[i]).End();
   }
-  out += "], \"max_ms\": ";
-  out += Num(max_latency_ms_);
-  out += ", \"total_ms\": ";
-  out += Num(total_latency_ms_);
-  out += "}";
+  json.End()
+      .Key("max_ms").Num(max_latency_ms_)
+      .Key("total_ms").Num(total_latency_ms_)
+      .End();
 
-  out += ", \"stages\": {";
-  first = true;
+  json.Key("stages").Object();
   for (const auto& [stage, stats] : by_stage_) {
-    if (!first) out += ", ";
-    first = false;
-    out += "\"";
-    out += JsonEscapeText(stage);
-    out += "\": {\"count\": ";
-    out += std::to_string(stats.count);
-    out += ", \"seconds\": ";
-    out += Num(stats.seconds);
-    out += "}";
+    json.Key(stage).Object()
+        .Key("count").Int(stats.count)
+        .Key("seconds").Num(stats.seconds)
+        .End();
   }
-  out += "}";
+  json.End();
 
-  out += ", \"mutations\": {\"total\": " + std::to_string(mutations_) +
-         ", \"applied\": " + std::to_string(mutations_applied_) +
-         ", \"fanout_total\": " + std::to_string(fanout_total_) +
-         ", \"fanout_max\": " + std::to_string(fanout_max_) +
-         ", \"refreshes\": " + std::to_string(refreshes_) +
-         ", \"refreshed_anchors\": " + std::to_string(refreshed_anchors_) +
-         ", \"reused_anchors\": " + std::to_string(reused_anchors_) + "}";
+  json.Key("mutations").Object()
+      .Key("total").Int(mutations_)
+      .Key("applied").Int(mutations_applied_)
+      .Key("fanout_total").Int(fanout_total_)
+      .Key("fanout_max").Int(fanout_max_)
+      .Key("refreshes").Int(refreshes_)
+      .Key("refreshed_anchors").Int(refreshed_anchors_)
+      .Key("reused_anchors").Int(reused_anchors_)
+      .End();
 
-  out += std::string(", \"durability\": {\"enabled\": ") +
-         (durability_enabled_ ? "true" : "false") +
-         ", \"wal_appends\": " + std::to_string(wal_appends_) +
-         ", \"wal_bytes\": " + std::to_string(wal_bytes_) +
-         ", \"fsyncs\": " + std::to_string(fsyncs_) +
-         ", \"snapshots\": " + std::to_string(snapshots_) +
-         ", \"wal_seq\": " + std::to_string(wal_seq_) +
-         ", \"replayed_records\": " + std::to_string(replayed_records_) +
-         ", \"truncated_tail_records\": " +
-         std::to_string(truncated_tail_records_) +
-         ", \"errors\": " + std::to_string(durability_errors_) +
-         ", \"last_error\": \"" + JsonEscapeText(last_durability_error_) +
-         "\"}";
+  json.Key("durability").Object()
+      .Key("enabled").Bool(durability_enabled_)
+      .Key("wal_appends").Int(wal_appends_)
+      .Key("wal_bytes").Int(wal_bytes_)
+      .Key("fsyncs").Int(fsyncs_)
+      .Key("snapshots").Int(snapshots_)
+      .Key("wal_seq").Int(wal_seq_)
+      .Key("replayed_records").Int(replayed_records_)
+      .Key("truncated_tail_records").Int(truncated_tail_records_)
+      .Key("errors").Int(durability_errors_)
+      .Key("last_error").Str(last_durability_error_)
+      .End();
 
-  out += ", \"workspace\": {\"total_heap_allocs\": " +
-         std::to_string(TraversalWorkspace::TotalHeapAllocs()) + "}";
+  json.Key("workspace").Object()
+      .Key("total_heap_allocs").Int(TraversalWorkspace::TotalHeapAllocs())
+      .End();
 
-  out += ", \"arena\": {";
+  json.Key("arena").Object();
   if (arena != nullptr) {
     const MatrixArena::Stats stats = arena->stats();
-    out += "\"acquired\": " + std::to_string(stats.acquired) +
-           ", \"reused\": " + std::to_string(stats.reused) +
-           ", \"heap_allocs\": " + std::to_string(stats.heap_allocs) +
-           ", \"released\": " + std::to_string(stats.released) +
-           ", \"bytes_served\": " + std::to_string(stats.bytes_served) +
-           ", \"heap_bytes\": " + std::to_string(stats.heap_bytes);
+    json.Key("acquired").Int(stats.acquired)
+        .Key("reused").Int(stats.reused)
+        .Key("heap_allocs").Int(stats.heap_allocs)
+        .Key("released").Int(stats.released)
+        .Key("bytes_served").Int(stats.bytes_served)
+        .Key("heap_bytes").Int(stats.heap_bytes);
   }
-  out += "}";
+  json.End();
 
   // Chronological ring dump: oldest surviving batch first.
-  out += ", \"timeline\": [";
+  json.Key("timeline").Array();
   const size_t n = timeline_.size();
   const size_t start = n < timeline_capacity_ ? 0 : timeline_next_;
   for (size_t i = 0; i < n; ++i) {
     const BatchSample& s = timeline_[(start + i) % n];
-    if (i) out += ", ";
-    out += "{\"batch\": " + std::to_string(s.batch) +
-           ", \"size\": " + std::to_string(s.size) +
-           ", \"depth_at_drain\": " + std::to_string(s.depth_at_drain) +
-           ", \"seconds\": " + Num(s.seconds) + "}";
+    json.Object()
+        .Key("batch").Int(s.batch)
+        .Key("size").Int(s.size)
+        .Key("depth_at_drain").Int(s.depth_at_drain)
+        .Key("seconds").Num(s.seconds)
+        .End();
   }
-  out += "]}";
-  return out;
+  return json.End().End().Take();
 }
 
 }  // namespace grgad

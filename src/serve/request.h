@@ -15,6 +15,8 @@
 //       Re-scores the subset of resident candidate groups passing the
 //       filters — the cheap multi-scale what-if query a resident daemon
 //       exists for. Detector defaults to the daemon's base detector.
+//       A filter no resident group passes — e.g. a "contains" id no group
+//       holds, even one beyond the int range — is FailedPrecondition.
 //   {"id": 4, "op": "stats"}       live metrics snapshot
 //   {"id": 5, "op": "shutdown"}    graceful drain + daemon exit
 //   {"id": 6, "op": "add-edge", "u": 17, "v": 42}
@@ -30,14 +32,18 @@
 //   {"id": 9, "op": "compact"}
 //       Compacts the DynamicGraph's slack CSR and truncates its delta log.
 //
-// Responses echo {"id", "op", "status"} first; scoring responses carry
-// counts and "top_groups" with scores at 17 significant digits (exact
-// IEEE-754 round-trip), and deliberately NO wall-time fields — timings live
-// in the metrics timeline, so a response is a pure function of the request
-// and the resident state. That is what makes the batched-vs-sequential
-// bitwise contract testable: the same renderers run over a direct
-// RunPipeline/RescoreArtifacts result must produce the same bytes
-// (tests/serve_test.cc).
+// Requests are read with the JSON module's parser (src/util/json.h); an
+// integer field must be an integer literal within the field's range, read
+// exactly (an id of 2^63 or 1e30 is rejected, never wrapped).
+//
+// Responses echo {"id", "op", "status"} first and are written by the JSON
+// module's JsonWriter; scoring responses carry counts and "top_groups" with
+// scores at 17 significant digits (exact IEEE-754 round-trip), and
+// deliberately NO wall-time fields — timings live in the metrics timeline,
+// so a response is a pure function of the request and the resident state.
+// That is what makes the batched-vs-sequential bitwise contract testable:
+// the same renderers run over a direct RunPipeline/RescoreArtifacts result
+// must produce the same bytes (tests/serve_test.cc).
 #ifndef GRGAD_SERVE_REQUEST_H_
 #define GRGAD_SERVE_REQUEST_H_
 
@@ -47,33 +53,10 @@
 #include <vector>
 
 #include "src/core/artifacts.h"
+#include "src/util/json.h"
 #include "src/util/status.h"
 
 namespace grgad {
-
-// ---- minimal JSON value + parser (no third-party deps) ----------------------
-
-/// A parsed JSON value. Numbers are doubles (the wire format never needs
-/// integers beyond 2^53); object members keep insertion order.
-struct JsonValue {
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-  Kind kind = Kind::kNull;
-  bool boolean = false;
-  double number = 0.0;
-  std::string string;
-  std::vector<JsonValue> array;
-  std::vector<std::pair<std::string, JsonValue>> object;
-
-  /// The named object member, or nullptr (also for non-objects).
-  const JsonValue* Find(const std::string& key) const;
-};
-
-/// Parses one complete JSON document (trailing garbage is an error).
-/// InvalidArgument with position info on malformed input.
-Result<JsonValue> ParseJsonText(const std::string& text);
-
-/// Escapes `s` for embedding inside a JSON string literal (no quotes).
-std::string JsonEscapeText(const std::string& s);
 
 /// Renders the `top` highest-scoring groups (stable among ties) as a JSON
 /// array of {"score": s, "nodes": [...]}, scores at round-trip precision.
@@ -122,6 +105,10 @@ struct ServeRequest {
 Result<ServeRequest> ParseServeRequest(const std::string& line);
 
 // ---- responses --------------------------------------------------------------
+
+/// A reply object opened with its {"id", "op", "status"} members; the
+/// caller adds the rest and closes it with End().
+JsonWriter ResponseHead(int64_t id, const char* op, const char* status);
 
 /// {"id", "op": "anchor-score", "status": "ok", num_anchors, num_groups,
 ///  top_groups} for a full-pipeline result.

@@ -1,7 +1,7 @@
 #include "src/serve/server.h"
 
 #include <algorithm>
-#include <cmath>
+#include <cstdint>
 #include <filesystem>
 #include <thread>
 #include <utility>
@@ -20,11 +20,9 @@ int64_t SalvageRequestId(const std::string& line) {
   auto parsed = ParseJsonText(line);
   if (!parsed.ok()) return -1;
   const JsonValue* id = parsed.value().Find("id");
-  if (id == nullptr || id->kind != JsonValue::Kind::kNumber ||
-      id->number != std::floor(id->number) || id->number < 0) {
-    return -1;
-  }
-  return static_cast<int64_t>(id->number);
+  int64_t value = -1;
+  if (id == nullptr || !JsonInt64(*id, 0, INT64_MAX, &value)) return -1;
+  return value;
 }
 
 bool BlankLine(const std::string& line) {
@@ -374,9 +372,11 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         std::vector<size_t> rows;
         for (size_t i = 0; i < artifacts_.candidate_groups.size(); ++i) {
           const std::vector<int>& group = artifacts_.candidate_groups[i];
+          // An id beyond the int range names no node: no group holds it.
           if (request.contains_node >= 0 &&
-              !std::binary_search(group.begin(), group.end(),
-                                  static_cast<int>(request.contains_node))) {
+              (request.contains_node > INT32_MAX ||
+               !std::binary_search(group.begin(), group.end(),
+                                   static_cast<int>(request.contains_node)))) {
             continue;
           }
           const int size = static_cast<int>(group.size());
@@ -411,16 +411,16 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         break;
       }
       case ServeOp::kStats: {
-        response = "{\"id\": " + std::to_string(request.id) +
-                   ", \"op\": \"stats\", \"status\": \"ok\", \"metrics\": " +
-                   MetricsJson() + "}";
+        response = ResponseHead(request.id, "stats", "ok")
+                       .Key("metrics").Raw(MetricsJson())
+                       .End().Take();
         break;
       }
       case ServeOp::kShutdown: {
         shutdown_.store(true, std::memory_order_relaxed);
-        response = "{\"id\": " + std::to_string(request.id) +
-                   ", \"op\": \"shutdown\", \"status\": \"ok\", "
-                   "\"draining\": true}";
+        response = ResponseHead(request.id, "shutdown", "ok")
+                       .Key("draining").Bool(true)
+                       .End().Take();
         break;
       }
       case ServeOp::kAddEdge:

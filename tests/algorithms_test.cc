@@ -63,8 +63,6 @@ TEST(AlgorithmsTest, BellmanFordMatchesBfsOnUnitWeights) {
   for (int v = 0; v < g.num_nodes(); ++v) {
     EXPECT_DOUBLE_EQ(dist[v], static_cast<double>(bfs[v]));
   }
-  const auto path = BellmanFordPath(g, 0, 3, unit);
-  EXPECT_EQ(path.size(), 4u);
 }
 
 TEST(AlgorithmsTest, BellmanFordRespectsWeights) {
@@ -76,8 +74,12 @@ TEST(AlgorithmsTest, BellmanFordRespectsWeights) {
   Graph g = b.Build();
   // Edges() order is sorted: (0,1), (0,2), (1,2).
   std::vector<double> w = {10.0, 1.0, 1.0};
-  const auto path = BellmanFordPath(g, 0, 1, w);
-  EXPECT_EQ(path, (std::vector<int>{0, 2, 1}));
+  std::vector<double> dist;
+  std::vector<int> parent;
+  ASSERT_TRUE(BellmanFord(g, 0, w, &dist, &parent));
+  EXPECT_DOUBLE_EQ(dist[1], 2.0);
+  EXPECT_EQ(parent[1], 2);
+  EXPECT_EQ(parent[2], 0);
 }
 
 TEST(AlgorithmsTest, BellmanFordDetectsNegativeCycle) {
@@ -103,16 +105,6 @@ TEST(AlgorithmsTest, BfsTreeStructure) {
   }
 }
 
-TEST(AlgorithmsTest, ConnectedComponentsLabels) {
-  Graph g = PathAndTriangle();
-  const auto comp = ConnectedComponents(g);
-  EXPECT_EQ(comp[0], comp[4]);
-  EXPECT_EQ(comp[5], comp[7]);
-  EXPECT_NE(comp[0], comp[5]);
-  const int max_label = *std::max_element(comp.begin(), comp.end());
-  EXPECT_EQ(max_label, 1);
-}
-
 TEST(AlgorithmsTest, ComponentsOfSubset) {
   Graph g = PathAndTriangle();
   // {0,1} contiguous; {3} isolated from them (2 missing); {5,7} joined.
@@ -121,12 +113,6 @@ TEST(AlgorithmsTest, ComponentsOfSubset) {
   EXPECT_EQ(groups[0], (std::vector<int>{0, 1}));
   EXPECT_EQ(groups[1], (std::vector<int>{3}));
   EXPECT_EQ(groups[2], (std::vector<int>{5, 7}));
-}
-
-TEST(AlgorithmsTest, KHopNeighborhood) {
-  Graph g = PathAndTriangle();
-  EXPECT_EQ(KHopNeighborhood(g, 2, 1), (std::vector<int>{1, 2, 3}));
-  EXPECT_EQ(KHopNeighborhood(g, 2, 2), (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
 TEST(AlgorithmsTest, CyclesThroughFindsRing) {
@@ -165,26 +151,6 @@ TEST(AlgorithmsTest, TwoTrianglesSharingNode) {
   b.AddEdge(4, 0);
   const auto cycles = CyclesThrough(b.Build(), 0, 8);
   EXPECT_EQ(cycles.size(), 2u);
-}
-
-TEST(AlgorithmsTest, ClusteringCoefficient) {
-  GraphBuilder b(4);
-  b.AddEdge(0, 1);
-  b.AddEdge(0, 2);
-  b.AddEdge(0, 3);
-  b.AddEdge(1, 2);
-  Graph g = b.Build();
-  EXPECT_NEAR(ClusteringCoefficient(g, 0), 1.0 / 3.0, 1e-12);
-  EXPECT_DOUBLE_EQ(ClusteringCoefficient(g, 3), 0.0);
-  EXPECT_DOUBLE_EQ(ClusteringCoefficient(g, 1), 1.0);
-}
-
-TEST(AlgorithmsTest, MeanNeighborDegree) {
-  Graph g = PathAndTriangle();
-  EXPECT_DOUBLE_EQ(MeanNeighborDegree(g, 0), 2.0);  // Node 1 has degree 2.
-  EXPECT_DOUBLE_EQ(MeanNeighborDegree(g, 2), 2.0);
-  GraphBuilder b(1);
-  EXPECT_DOUBLE_EQ(MeanNeighborDegree(b.Build(), 0), 0.0);
 }
 
 // Property: on rings of odd size n, the shortest path between antipodal-ish

@@ -1,7 +1,7 @@
 // Verbatim copies of the seed scoring loops (see header). Deliberately not
 // refactored onto the shared helpers: these freeze the seed's exact
 // computation shape, duplicated work included.
-#include "src/od/reference_detectors.h"
+#include "tests/reference/reference_detectors.h"
 
 #include <algorithm>
 #include <cmath>

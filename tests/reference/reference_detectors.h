@@ -5,10 +5,10 @@
 // LOF references deliberately keep the seed's duplicated PairwiseDistances
 // computation (that duplication is part of what the scoring stage rebuild
 // removed), and the IsolationForest reference keeps the seed's single
-// sequential RNG stream threaded through every tree. Never call these from
-// product code. (Companion to src/tensor/reference_kernels.h.)
-#ifndef GRGAD_OD_REFERENCE_DETECTORS_H_
-#define GRGAD_OD_REFERENCE_DETECTORS_H_
+// sequential RNG stream threaded through every tree. Test-only library, like
+// its companion tests/reference/reference_kernels.h.
+#ifndef GRGAD_TESTS_REFERENCE_REFERENCE_DETECTORS_H_
+#define GRGAD_TESTS_REFERENCE_REFERENCE_DETECTORS_H_
 
 #include <vector>
 
@@ -48,4 +48,4 @@ std::vector<double> GraphSnnEdgeWeights(const Graph& g, double lambda);
 
 }  // namespace grgad::reference
 
-#endif  // GRGAD_OD_REFERENCE_DETECTORS_H_
+#endif  // GRGAD_TESTS_REFERENCE_REFERENCE_DETECTORS_H_

@@ -1,4 +1,4 @@
-#include "src/tensor/reference_kernels.h"
+#include "tests/reference/reference_kernels.h"
 
 namespace grgad::reference {
 

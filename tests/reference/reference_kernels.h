@@ -1,9 +1,11 @@
 // Serial reference kernels: the seed implementations, unblocked and
 // single-threaded, kept verbatim as the correctness/determinism oracle for
 // the optimized kernels in matrix.cc / sparse.cc and as the "before" side of
-// bench/micro_benchmarks' JSON report. Never call these from product code.
-#ifndef GRGAD_TENSOR_REFERENCE_KERNELS_H_
-#define GRGAD_TENSOR_REFERENCE_KERNELS_H_
+// bench/micro_benchmarks' JSON report. They live in the test-only library
+// grgad_reference (tests and micro_benchmarks link it; the grgad library
+// does not), so product code cannot call them.
+#ifndef GRGAD_TESTS_REFERENCE_REFERENCE_KERNELS_H_
+#define GRGAD_TESTS_REFERENCE_REFERENCE_KERNELS_H_
 
 #include <functional>
 
@@ -36,4 +38,4 @@ Matrix Map(const Matrix& a, const std::function<double(double)>& f);
 
 }  // namespace grgad::reference
 
-#endif  // GRGAD_TENSOR_REFERENCE_KERNELS_H_
+#endif  // GRGAD_TESTS_REFERENCE_REFERENCE_KERNELS_H_

@@ -2,7 +2,7 @@
 // stage"):
 //   - every detector's scores are bitwise identical across GRGAD_THREADS
 //     and across repeated runs;
-//   - the standalone reference detectors (src/od/reference_detectors.h)
+//   - the standalone reference detectors (tests/reference/reference_detectors.h)
 //     agree at the score-rank level for the GEMM-distance detectors (kNN,
 //     LOF) and bitwise for ECOD and GraphSNN;
 //   - kNN and LOF perform exactly ONE pairwise-distance sweep per FitScore
@@ -24,7 +24,7 @@
 #include "src/od/knn.h"
 #include "src/od/lof.h"
 #include "src/od/neighbor_index.h"
-#include "src/od/reference_detectors.h"
+#include "tests/reference/reference_detectors.h"
 #include "src/util/rng.h"
 #include "tests/kernel_test_util.h"
 

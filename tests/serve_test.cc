@@ -14,6 +14,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
@@ -432,6 +435,331 @@ TEST(ServeTest, TopGroupsJsonRanksAndKeepsFullPrecision) {
                           2),
             R"([{"score": 200, "nodes": [3]}, )"
             R"({"score": 137.03549252268289, "nodes": [4, 2]}])");
+}
+
+// Fixed inputs for the reply pins and round trips: every ranking edge
+// value (±0 as -0, the smallest denormal, DBL_MAX) and an empty group.
+std::vector<ScoredGroup> EdgeScoredGroups() {
+  return {{{4, 2}, 137.03549252268289},
+          {{1}, -0.0},
+          {{3, 9}, std::numeric_limits<double>::denorm_min()},
+          {{}, 0.25},
+          {{5}, std::numeric_limits<double>::max()}};
+}
+
+PipelineArtifacts EdgeArtifacts() {
+  PipelineArtifacts artifacts;
+  artifacts.anchors = {1, 2, 3};
+  for (const ScoredGroup& sg : EdgeScoredGroups()) {
+    artifacts.candidate_groups.push_back(sg.nodes);
+  }
+  artifacts.scored_groups = EdgeScoredGroups();
+  return artifacts;
+}
+
+/// Every renderer's reply on the fixed inputs; the same list feeds the byte
+/// pins and the round-trip test.
+std::vector<std::string> RenderedReplies() {
+  const std::vector<ScoredGroup> scored = EdgeScoredGroups();
+  return {
+      RenderAnchorScoreResponse(7, EdgeArtifacts(), 2),
+      RenderScoredGroupsResponse(8, ServeOp::kRescore, scored, 5),
+      RenderScoredGroupsResponse(9, ServeOp::kWhatIf, scored, 0),
+      RenderMutationResponse(10, ServeOp::kAddEdge, true, 12, 216),
+      RenderMutationResponse(11, ServeOp::kRemoveEdge, false, 0, 215),
+      RenderRefreshResponse(12, 3, 17, scored, 1),
+      RenderCompactResponse(13, 215, 2, 0),
+      RenderSyncResponse(14, UINT64_MAX),
+      RenderSnapshotResponse(15, 42),
+      RenderErrorResponse(16, ServeOp::kRescore,
+                          Status::InvalidArgument(
+                              "unknown detector 'a\"b\\c\x01\n\td'")),
+      RenderErrorResponse(-1, "invalid",
+                          Status::FailedPrecondition("grüße ✓")),
+  };
+}
+
+TEST(ServeTest, RenderedRepliesArePinnedBytes) {
+  // The wire bytes of every reply kind: key order, ", " / ": " separators,
+  // 17-digit scores, string escapes. Captured before the JSON writer
+  // existed; a renderer port must leave every byte as it was.
+  const std::vector<std::string> want = {
+      R"({"id": 7, "op": "anchor-score", "status": "ok", "num_anchors": 3, )"
+      R"("num_groups": 5, "top_groups": [{"score": 1.7976931348623157e+308, )"
+      R"("nodes": [5]}, {"score": 137.03549252268289, "nodes": [4, 2]}]})",
+      R"({"id": 8, "op": "rescore", "status": "ok", "num_groups": 5, )"
+      R"("top_groups": [{"score": 1.7976931348623157e+308, "nodes": [5]}, )"
+      R"({"score": 137.03549252268289, "nodes": [4, 2]}, )"
+      R"({"score": 0.25, "nodes": []}, )"
+      R"({"score": 4.9406564584124654e-324, "nodes": [3, 9]}, )"
+      R"({"score": -0, "nodes": [1]}]})",
+      R"({"id": 9, "op": "what-if", "status": "ok", "num_groups": 5, )"
+      R"("top_groups": []})",
+      R"({"id": 10, "op": "add-edge", "status": "ok", "applied": true, )"
+      R"("invalidated_anchors": 12, "num_edges": 216})",
+      R"({"id": 11, "op": "remove-edge", "status": "ok", "applied": false, )"
+      R"("invalidated_anchors": 0, "num_edges": 215})",
+      R"({"id": 12, "op": "refresh", "status": "ok", "refreshed_anchors": 3, )"
+      R"("reused_anchors": 17, "num_groups": 5, "top_groups": )"
+      R"([{"score": 1.7976931348623157e+308, "nodes": [5]}]})",
+      R"({"id": 13, "op": "compact", "status": "ok", "num_edges": 215, )"
+      R"("compactions": 2, "pending_log": 0})",
+      R"({"id": 14, "op": "sync", "status": "ok", )"
+      R"("wal_seq": 18446744073709551615})",
+      R"({"id": 15, "op": "snapshot", "status": "ok", "wal_seq": 42})",
+      R"({"id": 16, "op": "rescore", "status": "InvalidArgument", )"
+      R"("error": "unknown detector 'a\"b\\c\u0001\n\td'"})",
+      "{\"id\": -1, \"op\": \"invalid\", \"status\": \"FailedPrecondition\", "
+      "\"error\": \"grüße ✓\"}",
+  };
+  const std::vector<std::string> got = RenderedReplies();
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) EXPECT_EQ(got[i], want[i]) << i;
+}
+
+/// Bitwise double equality: tells -0 from +0.
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof a) == 0;
+}
+
+int64_t IntMember(const JsonValue& object, const std::string& key) {
+  const JsonValue* member = object.Find(key);
+  int64_t value = -999;
+  EXPECT_TRUE(member != nullptr && JsonInt64(*member, INT64_MIN, INT64_MAX,
+                                             &value))
+      << key;
+  return value;
+}
+
+std::string StrMember(const JsonValue& object, const std::string& key) {
+  const JsonValue* member = object.Find(key);
+  EXPECT_TRUE(member != nullptr && member->kind == JsonValue::Kind::kString)
+      << key;
+  return member != nullptr ? member->string : "";
+}
+
+/// `top` parsed back must be the first `count` groups of `want` by
+/// descending score, every score bit for bit.
+void ExpectTopGroups(const JsonValue& reply, std::vector<ScoredGroup> want,
+                     size_t count) {
+  std::stable_sort(want.begin(), want.end(),
+                   [](const ScoredGroup& a, const ScoredGroup& b) {
+                     return a.score > b.score;
+                   });
+  want.resize(std::min(count, want.size()));
+  const JsonValue* top = reply.Find("top_groups");
+  ASSERT_NE(top, nullptr);
+  ASSERT_EQ(top->array.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    const JsonValue* score = top->array[i].Find("score");
+    ASSERT_NE(score, nullptr);
+    EXPECT_TRUE(SameBits(score->number, want[i].score)) << i;
+    const JsonValue* nodes = top->array[i].Find("nodes");
+    ASSERT_NE(nodes, nullptr);
+    ASSERT_EQ(nodes->array.size(), want[i].nodes.size());
+    for (size_t k = 0; k < want[i].nodes.size(); ++k) {
+      int64_t node = -1;
+      EXPECT_TRUE(JsonInt64(nodes->array[k], 0, INT32_MAX, &node));
+      EXPECT_EQ(node, want[i].nodes[k]);
+    }
+  }
+}
+
+TEST(ServeTest, RepliesMetricsAndWriterDocumentsRoundTrip) {
+  std::vector<JsonValue> replies;
+  for (const std::string& text : RenderedReplies()) {
+    auto parsed = ParseJsonText(text);
+    ASSERT_TRUE(parsed.ok()) << text << ": " << parsed.status().ToString();
+    replies.push_back(std::move(parsed).value());
+  }
+  ASSERT_EQ(replies.size(), 11u);
+  const int64_t ids[] = {7, 8, 9, 10, 11, 12, 13, 14, 15, 16, -1};
+  const char* ops[] = {"anchor-score", "rescore", "what-if", "add-edge",
+                       "remove-edge", "refresh", "compact", "sync",
+                       "snapshot", "rescore", "invalid"};
+  for (size_t i = 0; i < replies.size(); ++i) {
+    EXPECT_EQ(IntMember(replies[i], "id"), ids[i]) << i;
+    EXPECT_EQ(StrMember(replies[i], "op"), ops[i]) << i;
+  }
+  const std::vector<ScoredGroup> scored = EdgeScoredGroups();
+  EXPECT_EQ(IntMember(replies[0], "num_anchors"), 3);
+  ExpectTopGroups(replies[0], scored, 2);
+  ExpectTopGroups(replies[1], scored, 5);
+  ExpectTopGroups(replies[2], scored, 0);
+  EXPECT_TRUE(replies[3].Find("applied")->boolean);
+  EXPECT_EQ(IntMember(replies[3], "invalidated_anchors"), 12);
+  EXPECT_FALSE(replies[4].Find("applied")->boolean);
+  EXPECT_EQ(IntMember(replies[4], "num_edges"), 215);
+  EXPECT_EQ(IntMember(replies[5], "reused_anchors"), 17);
+  ExpectTopGroups(replies[5], scored, 1);
+  EXPECT_EQ(IntMember(replies[6], "compactions"), 2);
+  // UINT64_MAX is past JsonInt64's range; its literal survives as written.
+  EXPECT_EQ(replies[7].Find("wal_seq")->string, "18446744073709551615");
+  EXPECT_EQ(IntMember(replies[8], "wal_seq"), 42);
+  EXPECT_EQ(StrMember(replies[9], "error"),
+            "unknown detector 'a\"b\\c\x01\n\td'");
+  EXPECT_EQ(StrMember(replies[10], "error"), "grüße ✓");
+
+  // The daemon's metrics document after real traffic.
+  auto daemon = MakeDaemon(QuickOptions());
+  const SessionResult session = RunSession(
+      daemon.get(), {R"({"id": 1, "op": "what-if", "min_size": 2})",
+                     R"({"id": 2, "op": "bogus"})"});
+  ASSERT_EQ(session.responses.size(), 2u);
+  auto metrics = ParseJsonText(daemon->MetricsJson());
+  ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+  const JsonValue& m = metrics.value();
+  EXPECT_EQ(StrMember(m, "schema"), "grgad-serve-metrics-v3");
+  EXPECT_EQ(IntMember(*m.Find("queue"), "rejected"), 1);
+  const JsonValue* what_if = m.Find("requests")->Find("by_op")->Find("what-if");
+  ASSERT_NE(what_if, nullptr);
+  EXPECT_EQ(IntMember(*what_if, "count"), 1);
+  EXPECT_GT(what_if->Find("total_ms")->number, 0.0);
+  const JsonValue& buckets = *m.Find("latency_ms")->Find("buckets");
+  ASSERT_EQ(buckets.array.size(), 14u);
+  EXPECT_EQ(buckets.array.front().Find("le")->number, 1.0);
+  EXPECT_EQ(buckets.array.back().Find("le")->kind, JsonValue::Kind::kNull);
+  EXPECT_EQ(StrMember(*m.Find("durability"), "last_error"), "");
+  EXPECT_EQ(m.Find("arena")->kind, JsonValue::Kind::kObject);
+
+  // A writer document over the number rule's edges and every token kind.
+  const double kEdges[] = {0.0,
+                           -0.0,
+                           std::numeric_limits<double>::denorm_min(),
+                           -std::numeric_limits<double>::denorm_min(),
+                           std::numeric_limits<double>::max(),
+                           -std::numeric_limits<double>::max(),
+                           137.03549252268289,
+                           0.1};
+  JsonWriter writer;
+  writer.Object().Key("edges").Array();
+  for (double v : kEdges) writer.Num(v);
+  writer.End()
+      .Key("non_finite").Array()
+      .Num(std::numeric_limits<double>::quiet_NaN())
+      .Num(std::numeric_limits<double>::infinity())
+      .Num(-std::numeric_limits<double>::infinity())
+      .End()
+      .Key("empty_object").Object().End()
+      .Key("empty_array").Array().End()
+      .Key("utf8").Str("grüße ✓ 中文")
+      .Key("key \"quoted\"\x02").Str("q\"b\\c\x01\x1f\n\t")
+      .Key("ints").Array().Int(INT64_MIN).Int(INT64_MAX).Int(0).End()
+      .Key("flags").Array().Bool(true).Bool(false).End()
+      .Key("nested").Array().Array().Object().End().End().End()
+      .End();
+  const std::string document = writer.Take();
+  auto doc = ParseJsonText(document);
+  ASSERT_TRUE(doc.ok()) << document << ": " << doc.status().ToString();
+  const JsonValue& d = doc.value();
+  const JsonValue& edges = *d.Find("edges");
+  ASSERT_EQ(edges.array.size(), std::size(kEdges));
+  for (size_t i = 0; i < std::size(kEdges); ++i) {
+    EXPECT_EQ(edges.array[i].kind, JsonValue::Kind::kNumber) << i;
+    EXPECT_TRUE(SameBits(edges.array[i].number, kEdges[i]))
+        << i << ": " << edges.array[i].string;
+  }
+  const JsonValue& non_finite = *d.Find("non_finite");
+  ASSERT_EQ(non_finite.array.size(), 3u);
+  for (const JsonValue& v : non_finite.array) {
+    EXPECT_EQ(v.kind, JsonValue::Kind::kNull);
+  }
+  EXPECT_EQ(d.Find("empty_object")->kind, JsonValue::Kind::kObject);
+  EXPECT_TRUE(d.Find("empty_object")->object.empty());
+  EXPECT_EQ(d.Find("empty_array")->kind, JsonValue::Kind::kArray);
+  EXPECT_TRUE(d.Find("empty_array")->array.empty());
+  EXPECT_EQ(StrMember(d, "utf8"), "grüße ✓ 中文");
+  EXPECT_EQ(StrMember(d, "key \"quoted\"\x02"), "q\"b\\c\x01\x1f\n\t");
+  const JsonValue& ints = *d.Find("ints");
+  ASSERT_EQ(ints.array.size(), 3u);
+  int64_t value = 0;
+  EXPECT_TRUE(JsonInt64(ints.array[0], INT64_MIN, INT64_MAX, &value));
+  EXPECT_EQ(value, INT64_MIN);
+  EXPECT_TRUE(JsonInt64(ints.array[1], INT64_MIN, INT64_MAX, &value));
+  EXPECT_EQ(value, INT64_MAX);
+  EXPECT_TRUE(d.Find("flags")->array[0].boolean);
+  EXPECT_FALSE(d.Find("flags")->array[1].boolean);
+  EXPECT_EQ(d.Find("nested")->array[0].array[0].kind,
+            JsonValue::Kind::kObject);
+  // Same separators as the renderers.
+  EXPECT_NE(document.find(R"("empty_object": {}, "empty_array": [], )"),
+            std::string::npos)
+      << document;
+}
+
+TEST(ServeTest, JsonInt64ReadsIntegerLiteralsExactly) {
+  auto read = [](const std::string& literal, int64_t lo, int64_t hi,
+                 int64_t* out) {
+    auto parsed = ParseJsonText(literal);
+    return parsed.ok() && JsonInt64(parsed.value(), lo, hi, out);
+  };
+  int64_t v = 0;
+  EXPECT_TRUE(read("9223372036854775807", 0, INT64_MAX, &v));
+  EXPECT_EQ(v, INT64_MAX);
+  EXPECT_TRUE(read("-9223372036854775808", INT64_MIN, 0, &v));
+  EXPECT_EQ(v, INT64_MIN);
+  EXPECT_TRUE(read("9007199254740993", 0, INT64_MAX, &v));  // 2^53 + 1.
+  EXPECT_EQ(v, 9007199254740993);
+  EXPECT_FALSE(read("9223372036854775808", 0, INT64_MAX, &v));  // 2^63.
+  EXPECT_FALSE(read("-9223372036854775809", INT64_MIN, 0, &v));
+  EXPECT_FALSE(read("1e30", 0, INT64_MAX, &v));
+  EXPECT_FALSE(read("17.0", 0, INT64_MAX, &v));
+  EXPECT_FALSE(read("17.5", 0, INT64_MAX, &v));
+  EXPECT_FALSE(read("-1", 0, INT64_MAX, &v));
+  EXPECT_FALSE(read("11", 0, 10, &v));
+  EXPECT_FALSE(read("\"7\"", 0, INT64_MAX, &v));
+}
+
+TEST(ServeTest, OutOfRangeIntegersAreRejectedNotWrapped) {
+  // 2^63 is one past INT64_MAX; a double range check let it through and
+  // the cast wrapped it to INT64_MIN.
+  EXPECT_FALSE(
+      ParseServeRequest(R"({"id": 9223372036854775808, "op": "stats"})").ok());
+  auto max_id =
+      ParseServeRequest(R"({"id": 9223372036854775807, "op": "stats"})");
+  ASSERT_TRUE(max_id.ok()) << max_id.status().ToString();
+  EXPECT_EQ(max_id.value().id, INT64_MAX);
+
+  // A node that some resident group holds, and the same id plus 2^32,
+  // which an int cast used to wrap back onto it.
+  const int node = TrainedArtifacts().candidate_groups.at(0).at(0);
+  const std::string wrapped = std::to_string((int64_t{1} << 32) + node);
+  auto daemon = MakeDaemon(QuickOptions());
+  const SessionResult session = RunSession(
+      daemon.get(),
+      {R"({"id": 9223372036854775808, "op": "what-if", "top": 1})",
+       R"({"id": 1e30, "op": "nope"})",
+       R"({"id": 2, "op": "what-if", "contains": 9223372036854775808})",
+       "{\"id\": 3, \"op\": \"what-if\", \"contains\": " + wrapped + "}",
+       R"({"id": 4, "op": "what-if", "contains": 2000000000})",
+       "{\"id\": 5, \"op\": \"what-if\", \"contains\": " +
+           std::to_string(node) + "}"});
+  ASSERT_TRUE(session.transport.ok()) << session.transport.ToString();
+  ASSERT_EQ(session.responses.size(), 6u);
+  // Rejected lines are answered at admission, so replies are found by id.
+  std::map<std::string, std::vector<std::string>> by_id;
+  for (const std::string& response : session.responses) {
+    by_id[response.substr(0, response.find(','))].push_back(response);
+  }
+  const std::string bad_id =
+      R"({"id": -1, "op": "invalid", "status": "InvalidArgument", )"
+      R"("error": "request field 'id': expected a non-negative integer"})";
+  EXPECT_EQ(by_id[R"({"id": -1)"],
+            (std::vector<std::string>{bad_id, bad_id}));
+  ASSERT_EQ(by_id[R"({"id": 2)"].size(), 1u);
+  EXPECT_EQ(by_id[R"({"id": 2)"][0],
+            R"({"id": 2, "op": "invalid", "status": "InvalidArgument", )"
+            R"("error": "request field 'contains': expected a )"
+            R"(non-negative node id"})");
+  auto no_match = [](int id) {
+    return "{\"id\": " + std::to_string(id) +
+           ", \"op\": \"what-if\", \"status\": \"FailedPrecondition\", "
+           "\"error\": \"what-if: no resident groups match the filter\"}";
+  };
+  EXPECT_EQ(by_id[R"({"id": 3)"], std::vector<std::string>{no_match(3)});
+  EXPECT_EQ(by_id[R"({"id": 4)"], std::vector<std::string>{no_match(4)});
+  ASSERT_EQ(by_id[R"({"id": 5)"].size(), 1u);
+  EXPECT_TRUE(ResponseOk(by_id[R"({"id": 5)"][0]));
 }
 
 TEST(ServeTest, ParseServeRequestMutationOps) {

@@ -7,7 +7,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/tensor/reference_kernels.h"
+#include "tests/reference/reference_kernels.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
 #include "tests/kernel_test_util.h"

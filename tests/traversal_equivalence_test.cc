@@ -177,18 +177,6 @@ TEST(TraversalEquivalenceTest, BellmanFordNegativeCycle) {
   EXPECT_FALSE(BellmanFord(g, 0, weights, &ws));
 }
 
-TEST(TraversalEquivalenceTest, ConnectedComponents) {
-  TraversalWorkspace ws;
-  for (uint64_t seed : {51u, 52u, 53u}) {
-    // Sparse enough to leave several components.
-    const Graph g = RandomGraph(80, 5, seed, /*attributes=*/false);
-    const std::vector<int> want = ConnectedComponents(g);
-    const std::span<const int> got = ConnectedComponents(g, &ws);
-    ASSERT_EQ(got.size(), want.size());
-    for (size_t v = 0; v < want.size(); ++v) ASSERT_EQ(got[v], want[v]);
-  }
-}
-
 TEST(TraversalEquivalenceTest, ComponentsOfSubset) {
   TraversalWorkspace ws;
   for (uint64_t seed : {61u, 62u}) {

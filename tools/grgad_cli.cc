@@ -30,12 +30,12 @@
 // All configuration is string-keyed through the method registry, so this
 // binary needs no per-method flag wiring.
 #include <algorithm>
-#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -52,6 +52,7 @@
 #include "src/serve/server.h"
 #include "src/serve/wal.h"
 #include "src/util/fault.h"
+#include "src/util/json.h"
 #include "src/util/parallel.h"
 #include "src/util/retry.h"
 #include "src/util/timer.h"
@@ -75,30 +76,6 @@ void HandleStopSignal(int) { GlobalCancelToken()->RequestCancel(); }
 void HookStopSignals(bool install) {
   std::signal(SIGINT, install ? HandleStopSignal : SIG_DFL);
   std::signal(SIGTERM, install ? HandleStopSignal : SIG_DFL);
-}
-
-// ---- tiny JSON writer -------------------------------------------------------
-
-std::string JsonNumber(double v) {
-  if (!std::isfinite(v)) return "null";  // Bare nan/inf is invalid JSON.
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.12g", v);
-  return buf;
-}
-
-/// Appends one `"key": value` JSON member (value pre-rendered).
-void JsonField(std::string* out, const char* key, const std::string& value,
-               bool* first) {
-  if (!*first) *out += ", ";
-  *first = false;
-  *out += "\"";
-  *out += key;
-  *out += "\": ";
-  *out += value;
-}
-
-std::string JsonString(const std::string& s) {
-  return "\"" + JsonEscapeText(s) + "\"";
 }
 
 // ---- argument parsing -------------------------------------------------------
@@ -358,33 +335,15 @@ int CmdList() {
   return 0;
 }
 
-std::string TimingsJson(const RunContext& ctx) {
-  std::string out = "[";
-  bool first_timing = true;
+/// The members every --json document shares after its command-specific
+/// ones: the --profile flag and the per-stage wall times.
+void WriteTimings(JsonWriter* json, const Args& args, const RunContext& ctx) {
+  json->Key("profile").Bool(args.profile).Key("stage_timings").Array();
   for (const StageTiming& t : ctx.stage_timings()) {
-    if (!first_timing) out += ", ";
-    first_timing = false;
-    out += "{\"stage\": " + JsonString(t.stage) +
-           ", \"seconds\": " + JsonNumber(t.seconds) + "}";
+    json->Object().Key("stage").Str(t.stage).Key("seconds").Num(t.seconds)
+        .End();
   }
-  out += "]";
-  return out;
-}
-
-std::string EvaluationJson(const GroupEvaluation& eval) {
-  std::string out = "{";
-  bool first = true;
-  JsonField(&out, "cr", JsonNumber(eval.cr), &first);
-  JsonField(&out, "f1", JsonNumber(eval.f1), &first);
-  JsonField(&out, "auc", JsonNumber(eval.auc), &first);
-  JsonField(&out, "avg_predicted_size", JsonNumber(eval.avg_predicted_size),
-            &first);
-  JsonField(&out, "num_candidates", std::to_string(eval.num_candidates),
-            &first);
-  JsonField(&out, "num_predicted_anomalous",
-            std::to_string(eval.num_predicted_anomalous), &first);
-  out += "}";
-  return out;
+  json->End();
 }
 
 int EmitJson(const Args& args, const std::string& json) {
@@ -415,14 +374,13 @@ int ExitCodeFor(const Status& status) {
 int FailWith(const Args& args, const char* command, const Status& status) {
   std::fprintf(stderr, "error: %s\n", status.ToString().c_str());
   if (!args.json_path.empty()) {
-    std::string json = "{";
-    bool first = true;
-    JsonField(&json, "command", JsonString(command), &first);
-    JsonField(&json, "status", JsonString(StatusCodeName(status.code())),
-              &first);
-    JsonField(&json, "error", JsonString(status.message()), &first);
-    json += "}";
-    EmitJson(args, json);
+    EmitJson(args, JsonWriter()
+                       .Object()
+                       .Key("command").Str(command)
+                       .Key("status").Str(StatusCodeName(status.code()))
+                       .Key("error").Str(status.message())
+                       .End()
+                       .Take());
   }
   return ExitCodeFor(status);
 }
@@ -516,24 +474,27 @@ int CmdRun(const Args& args) {
   }
 
   const GroupEvaluation eval = EvaluateGroups(d, scored);
-  std::string json = "{";
-  bool first = true;
-  JsonField(&json, "command", JsonString("run"), &first);
-  JsonField(&json, "status", JsonString("ok"), &first);
-  JsonField(&json, "dataset", JsonString(args.dataset), &first);
-  JsonField(&json, "method", JsonString(args.method), &first);
-  JsonField(&json, "seed", std::to_string(args.seed), &first);
-  JsonField(&json, "num_anchors", std::to_string(artifacts.anchors.size()),
-            &first);
-  JsonField(&json, "num_groups",
-            std::to_string(artifacts.candidate_groups.size()), &first);
-  JsonField(&json, "seconds", JsonNumber(total_seconds), &first);
-  JsonField(&json, "profile", args.profile ? "true" : "false", &first);
-  JsonField(&json, "stage_timings", TimingsJson(ctx), &first);
-  JsonField(&json, "evaluation", EvaluationJson(eval), &first);
-  JsonField(&json, "top_groups", TopGroupsJson(scored, 5), &first);
-  json += "}";
-  return EmitJson(args, json);
+  JsonWriter json;
+  json.Object()
+      .Key("command").Str("run")
+      .Key("status").Str("ok")
+      .Key("dataset").Str(args.dataset)
+      .Key("method").Str(args.method)
+      .Key("seed").Int(args.seed)
+      .Key("num_anchors").Int(artifacts.anchors.size())
+      .Key("num_groups").Int(artifacts.candidate_groups.size())
+      .Key("seconds").Num(total_seconds);
+  WriteTimings(&json, args, ctx);
+  json.Key("evaluation").Object()
+      .Key("cr").Num(eval.cr)
+      .Key("f1").Num(eval.f1)
+      .Key("auc").Num(eval.auc)
+      .Key("avg_predicted_size").Num(eval.avg_predicted_size)
+      .Key("num_candidates").Int(eval.num_candidates)
+      .Key("num_predicted_anomalous").Int(eval.num_predicted_anomalous)
+      .End();
+  json.Key("top_groups").Raw(TopGroupsJson(scored, 5)).End();
+  return EmitJson(args, json.Take());
 }
 
 int CmdRescore(const Args& args) {
@@ -585,20 +546,16 @@ int CmdRescore(const Args& args) {
     }
   }
 
-  std::string json = "{";
-  bool first = true;
-  JsonField(&json, "command", JsonString("rescore"), &first);
-  JsonField(&json, "status", JsonString("ok"), &first);
-  JsonField(&json, "in", JsonString(args.in_dir), &first);
-  JsonField(&json, "detector", JsonString(args.detector), &first);
-  JsonField(&json, "num_groups",
-            std::to_string(artifacts.candidate_groups.size()), &first);
-  JsonField(&json, "profile", args.profile ? "true" : "false", &first);
-  JsonField(&json, "stage_timings", TimingsJson(ctx), &first);
-  JsonField(&json, "top_groups", TopGroupsJson(artifacts.scored_groups, 5),
-            &first);
-  json += "}";
-  return EmitJson(args, json);
+  JsonWriter json;
+  json.Object()
+      .Key("command").Str("rescore")
+      .Key("status").Str("ok")
+      .Key("in").Str(args.in_dir)
+      .Key("detector").Str(args.detector)
+      .Key("num_groups").Int(artifacts.candidate_groups.size());
+  WriteTimings(&json, args, ctx);
+  json.Key("top_groups").Raw(TopGroupsJson(artifacts.scored_groups, 5)).End();
+  return EmitJson(args, json.Take());
 }
 
 int CmdServe(const Args& args) {
@@ -804,9 +761,10 @@ int CmdQuery(const Args& args) {
     Status status = fd.status();
     if (status.code() != StatusCode::kDeadlineExceeded &&
         connect_timer.ElapsedSeconds() >= window) {
-      status = Status::DeadlineExceeded(
-          "daemon did not accept " + args.socket_path + " within " +
-          JsonNumber(window) + "s: " + status.ToString());
+      std::ostringstream message;
+      message << "daemon did not accept " << args.socket_path << " within "
+              << window << "s: " << status.ToString();
+      status = Status::DeadlineExceeded(message.str());
     }
     return FailWith(args, "query", status);
   }
