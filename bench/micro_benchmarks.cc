@@ -21,6 +21,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <functional>
 #include <numeric>
@@ -88,8 +89,11 @@ void BM_DenseMatMul(benchmark::State& state) {
   const size_t n = state.range(0);
   Matrix a = RandomMatrix(n, n, 1);
   Matrix b = RandomMatrix(n, n, 2);
+  Matrix out(n, n);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMul(a, b));
+    MatMulInto(a, b, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * n * n * n);
 }
@@ -99,8 +103,11 @@ void BM_TallSkinnyMatMul(benchmark::State& state) {
   // The GCN shape: (n x d) * (d x h).
   Matrix a = RandomMatrix(4096, 256, 3);
   Matrix b = RandomMatrix(256, 64, 4);
+  Matrix out(4096, 64);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MatMul(a, b));
+    MatMulInto(a, b, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
 }
 BENCHMARK(BM_TallSkinnyMatMul);
@@ -110,20 +117,26 @@ void BM_Spmm(benchmark::State& state) {
   Graph g = BenchGraph(n, 5);
   auto op = NormalizedAdjacency(g);
   Matrix x = RandomMatrix(n, 64, 6);
+  Matrix out(n, 64);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(op->Spmm(x));
+    op->SpmmInto(x, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
   }
   state.SetItemsProcessed(state.iterations() * op->nnz() * 64);
 }
 BENCHMARK(BM_Spmm)->Arg(1000)->Arg(10000);
 
-void BM_BfsDistances(benchmark::State& state) {
+void BM_BfsTree(benchmark::State& state) {
   Graph g = BenchGraph(state.range(0), 7);
+  TraversalWorkspace ws;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(BfsDistances(g, 0));
+    BuildBfsTree(g, 0, /*max_depth=*/-1, &ws);
+    benchmark::DoNotOptimize(ws.Order().data());
+    benchmark::ClobberMemory();
   }
 }
-BENCHMARK(BM_BfsDistances)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_BfsTree)->Arg(1000)->Arg(10000);
 
 void BM_CyclesThrough(benchmark::State& state) {
   Graph g = BenchGraph(2000, 8);
@@ -153,9 +166,10 @@ void BM_PatternSearch(benchmark::State& state) {
   Graph g = BenchGraph(200, 11);
   std::vector<int> group;
   for (int v = 0; v < 24; ++v) group.push_back(v);
-  Graph sub = g.InducedSubgraph(group);
+  SubgraphView view;
+  view.Reset(g, group);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(SearchPatterns(sub));
+    benchmark::DoNotOptimize(SearchPatterns(view));
   }
 }
 BENCHMARK(BM_PatternSearch);
@@ -219,7 +233,7 @@ struct KernelResult {
 };
 
 /// Median-of-reps wall-clock milliseconds for one call of f (after a warmup
-/// call, which also populates caches like the SpmmTransposeThis transpose).
+/// call, which also populates caches like the SpmmTransposeThisInto transpose).
 template <typename F>
 double MedianMs(F&& f) {
   f();  // Warmup.
@@ -267,18 +281,28 @@ std::vector<KernelResult> CompareKernels() {
   {
     Matrix a = RandomMatrix(512, 512, 21);
     Matrix b = RandomMatrix(512, 512, 22);
+    Matrix out(512, 512);
     add(
         "matmul", "512x512x512",
         [&] { benchmark::DoNotOptimize(reference::MatMul(a, b)); },
-        [&] { benchmark::DoNotOptimize(MatMul(a, b)); });
+        [&] {
+          MatMulInto(a, b, &out);
+          benchmark::DoNotOptimize(out.data());
+        });
     add(
         "matmul_transpose_b", "512x512x512",
         [&] { benchmark::DoNotOptimize(reference::MatMulTransposeB(a, b)); },
-        [&] { benchmark::DoNotOptimize(MatMulTransposeB(a, b)); });
+        [&] {
+          MatMulTransposeBInto(a, b, &out);
+          benchmark::DoNotOptimize(out.data());
+        });
     add(
         "matmul_transpose_a", "512x512x512",
         [&] { benchmark::DoNotOptimize(reference::MatMulTransposeA(a, b)); },
-        [&] { benchmark::DoNotOptimize(MatMulTransposeA(a, b)); });
+        [&] {
+          MatMulTransposeAInto(a, b, &out);
+          benchmark::DoNotOptimize(out.data());
+        });
     add(
         "transpose", "512x512",
         [&] { benchmark::DoNotOptimize(reference::Transpose(a)); },
@@ -287,10 +311,14 @@ std::vector<KernelResult> CompareKernels() {
   {
     Matrix a = RandomMatrix(4096, 256, 23);
     Matrix b = RandomMatrix(256, 64, 24);
+    Matrix out(4096, 64);
     add(
         "matmul", "4096x256x64",
         [&] { benchmark::DoNotOptimize(reference::MatMul(a, b)); },
-        [&] { benchmark::DoNotOptimize(MatMul(a, b)); });
+        [&] {
+          MatMulInto(a, b, &out);
+          benchmark::DoNotOptimize(out.data());
+        });
   }
 
   // Sparse kernels on a 10k-node adjacency with 64-wide features (the GCN
@@ -298,14 +326,21 @@ std::vector<KernelResult> CompareKernels() {
   {
     SparseMatrix s = BenchAdjacency(10000, 4, 25);
     Matrix x = RandomMatrix(10000, 64, 26);
+    Matrix out(10000, 64);
     add(
         "spmm", "10000x10000(nnz~40k)x64",
         [&] { benchmark::DoNotOptimize(reference::Spmm(s, x)); },
-        [&] { benchmark::DoNotOptimize(s.Spmm(x)); });
+        [&] {
+          s.SpmmInto(x, &out);
+          benchmark::DoNotOptimize(out.data());
+        });
     add(
         "spmm_transpose_this", "10000x10000(nnz~40k)x64",
         [&] { benchmark::DoNotOptimize(reference::SpmmTransposeThis(s, x)); },
-        [&] { benchmark::DoNotOptimize(s.SpmmTransposeThis(x)); });
+        [&] {
+          s.SpmmTransposeThisInto(x, &out);
+          benchmark::DoNotOptimize(out.data());
+        });
   }
 
   // Elementwise map: the seed's per-element std::function dispatch vs the
@@ -454,10 +489,20 @@ std::vector<ScoringResult> CompareScoringKernels() {
   // The acceptance shape: group embeddings at serving scale (n groups x
   // 64-d TPGCL embeddings).
   Matrix x = RandomMatrix(2048, 64, 41);
+  Matrix distances(x.rows(), x.rows());
   add(
       "pairwise", "2048x64",
       [&] { benchmark::DoNotOptimize(reference::PairwiseDistances(x)); },
-      [&] { benchmark::DoNotOptimize(PairwiseDistances(x)); });
+      [&] {
+        // The GEMM panel sweep BuildNeighborIndex selects on, gathered into
+        // the full matrix the reference returns.
+        internal::ForEachDistancePanel(
+            x, [&](size_t i0, size_t rows, const Matrix& panel) {
+              std::memcpy(distances.RowPtr(i0), panel.RowPtr(0),
+                          rows * x.rows() * sizeof(double));
+            });
+        benchmark::DoNotOptimize(distances.data());
+      });
   add(
       "knn", "2048x64,k=5",
       [&] { benchmark::DoNotOptimize(reference::KnnFitScore(x, 5)); },

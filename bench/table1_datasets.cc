@@ -47,7 +47,7 @@ int Run() {
   }
   std::printf("\nNote: #Attr is configurable (DatasetOptions::attr_dim); the\n"
               "paper's raw bag-of-words widths are narrowed by default for\n"
-              "2-core runtime (DESIGN.md section 3).\n");
+              "2-core runtime (README.md, \"Deviations from the paper\").\n");
   EmitCsv(csv, "table1_datasets.csv");
   return 0;
 }

@@ -14,13 +14,6 @@ std::vector<StageTiming> RunContext::stage_timings() const {
   return timings_;
 }
 
-double RunContext::TotalSeconds() const {
-  std::lock_guard<std::mutex> lock(timings_mu_);
-  double total = 0.0;
-  for (const StageTiming& t : timings_) total += t.seconds;
-  return total;
-}
-
 void RunContext::RecordSubStage(std::string stage, double seconds) {
   AppendTiming(stage, seconds);
   // The observer fires outside the lock: it may itself read stage_timings().

@@ -93,9 +93,6 @@ class RunContext {
   /// from any thread.
   void RecordSubStage(std::string stage, double seconds);
 
-  /// Sum of stage_timings() seconds.
-  double TotalSeconds() const;
-
  private:
   friend class StageScope;
 

@@ -6,8 +6,8 @@
 //
 // Because the real Cora/CiteSeer downloads are unavailable offline, the
 // carrier graph is a stochastic block model matched to their size, density,
-// community count, and attribute sparsity (see DESIGN.md §3); the injection
-// procedure itself follows the paper verbatim.
+// community count, and attribute sparsity (see README.md, "Deviations from
+// the paper"); the injection procedure itself follows the paper verbatim.
 #ifndef GRGAD_DATA_CITATION_GROUP_H_
 #define GRGAD_DATA_CITATION_GROUP_H_
 

@@ -13,14 +13,6 @@ std::vector<int> Dataset::NodeLabels() const {
   return labels;
 }
 
-double Dataset::NodeContamination() const {
-  if (graph.num_nodes() == 0) return 0.0;
-  const std::vector<int> labels = NodeLabels();
-  int pos = 0;
-  for (int y : labels) pos += y;
-  return static_cast<double>(pos) / graph.num_nodes();
-}
-
 double Dataset::AverageGroupSize() const {
   if (anomaly_groups.empty()) return 0.0;
   double total = 0.0;

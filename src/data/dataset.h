@@ -23,9 +23,6 @@ struct Dataset {
   /// Per-node 0/1 labels derived from group membership.
   std::vector<int> NodeLabels() const;
 
-  /// Fraction of nodes that belong to some anomaly group.
-  double NodeContamination() const;
-
   /// Mean ground-truth group size (the paper's "Avg. size").
   double AverageGroupSize() const;
 };
@@ -36,7 +33,8 @@ struct DatasetOptions {
   uint64_t seed = 42;
   /// Attribute width; 0 keeps each generator's default. The paper's raw
   /// bag-of-words widths (1433/3703/3123) are intentionally narrowed by
-  /// default for 2-core runtime; see DESIGN.md §3.
+  /// default for 2-core runtime; see README.md, "Deviations from the
+  /// paper".
   int attr_dim = 0;
   /// Uniform scale on node counts (1.0 = paper-matched sizes). Values < 1
   /// shrink datasets proportionally (quick tests / CI).

@@ -1,8 +1,12 @@
 #include "src/data/io.h"
 
 #include <algorithm>
+#include <climits>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
+
+#include "src/util/atomic_io.h"
 
 namespace grgad {
 
@@ -24,16 +28,19 @@ Result<Graph> LoadEdgeList(const std::string& path, int num_nodes) {
   std::string line;
   while (std::getline(f, line)) {
     if (line.empty() || line[0] == '#') continue;
-    std::istringstream ss(line);
-    int u, v;
-    if (!(ss >> u >> v)) {
+    TokenScanner in(line);
+    long long u = 0;
+    long long v = 0;
+    // An id of INT_MAX or more leaves no room for the node count.
+    if (!in.I64(&u) || !in.I64(&v) || !in.AtEnd() || u >= INT_MAX ||
+        v >= INT_MAX) {
       return Status::InvalidArgument("bad edge line: " + line);
     }
     if (u < 0 || v < 0) {
       return Status::InvalidArgument("negative node id: " + line);
     }
-    edges.emplace_back(u, v);
-    max_id = std::max({max_id, u, v});
+    edges.emplace_back(static_cast<int>(u), static_cast<int>(v));
+    max_id = std::max({max_id, edges.back().first, edges.back().second});
   }
   const int n = num_nodes > 0 ? num_nodes : max_id + 1;
   if (max_id >= n) {
@@ -61,7 +68,13 @@ Status SaveAttributes(const Matrix& x, const std::string& path) {
 
 Result<Matrix> LoadAttributes(const std::string& path) {
   std::ifstream f(path);
-  if (!f.is_open()) return Status::IoError("cannot open: " + path);
+  if (!f.is_open()) {
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec) && !ec) {
+      return Status::NotFound("no such file: " + path);
+    }
+    return Status::IoError("cannot open: " + path);
+  }
   std::vector<std::vector<double>> rows;
   std::string line;
   while (std::getline(f, line)) {
@@ -136,9 +149,14 @@ Status LoadGroups(const std::string& path,
                                      line.substr(0, colon));
     }
     std::vector<int> group;
-    std::istringstream ss(line.substr(colon + 1));
-    int v;
-    while (ss >> v) group.push_back(v);
+    TokenScanner ids(std::string_view(line).substr(colon + 1));
+    while (!ids.AtEnd()) {
+      long long v = 0;
+      if (!ids.I64(&v) || v < INT_MIN || v > INT_MAX) {
+        return Status::InvalidArgument("bad node id in group line: " + line);
+      }
+      group.push_back(static_cast<int>(v));
+    }
     if (group.empty()) {
       return Status::InvalidArgument("empty group line: " + line);
     }
@@ -165,7 +183,11 @@ Result<Dataset> LoadDataset(const std::string& prefix,
   Dataset out;
   out.name = name;
   out.graph = std::move(graph.value());
+  // Attributes are optional: only a missing .attrs file is skipped.
   Result<Matrix> attrs = LoadAttributes(prefix + ".attrs");
+  if (!attrs.ok() && attrs.status().code() != StatusCode::kNotFound) {
+    return attrs.status();
+  }
   if (attrs.ok() && !attrs.value().empty()) {
     if (attrs.value().rows() !=
         static_cast<size_t>(out.graph.num_nodes())) {
@@ -177,6 +199,15 @@ Result<Dataset> LoadDataset(const std::string& prefix,
       LoadGroups(prefix + ".groups", &out.anomaly_groups,
                  &out.group_patterns);
   if (!s.ok()) return s;
+  for (const std::vector<int>& group : out.anomaly_groups) {
+    for (int v : group) {
+      if (v < 0 || v >= out.graph.num_nodes()) {
+        return Status::InvalidArgument(
+            "group node id " + std::to_string(v) + " outside the " +
+            std::to_string(out.graph.num_nodes()) + "-node graph");
+      }
+    }
+  }
   return out;
 }
 

@@ -7,12 +7,6 @@
 
 namespace grgad {
 
-std::vector<int> SelectAnchors(const std::vector<double>& node_scores,
-                               double fraction) {
-  return SelectAnchorsCapped(node_scores, fraction,
-                             static_cast<int>(node_scores.size()));
-}
-
 std::vector<int> SelectAnchorsCapped(const std::vector<double>& node_scores,
                                      double fraction, int max_anchors) {
   GRGAD_CHECK(fraction >= 0.0 && fraction <= 1.0);

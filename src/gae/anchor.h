@@ -7,13 +7,10 @@
 
 namespace grgad {
 
-/// Returns the ids of the ceil(fraction * n) highest-scoring nodes, sorted
-/// ascending. Ties are broken by node id for determinism.
-std::vector<int> SelectAnchors(const std::vector<double>& node_scores,
-                               double fraction);
-
-/// As above, but with an absolute cap on the anchor count (keeps the O(m^2)
-/// pair sampling tractable on large graphs).
+/// Returns the ids of the ceil(fraction * n) highest-scoring nodes, at most
+/// `max_anchors` of them (the cap keeps the O(m^2) pair sampling tractable
+/// on large graphs), sorted ascending. Ties are broken by node id for
+/// determinism.
 std::vector<int> SelectAnchorsCapped(const std::vector<double>& node_scores,
                                      double fraction, int max_anchors);
 

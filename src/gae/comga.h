@@ -3,10 +3,10 @@
 // hidden representation into the GCN-GAE encoder (gated fusion), so the
 // model can separate community-structure deviations from local noise.
 //
-// Scalability note (DESIGN.md §3): the original autoencodes the dense n x n
-// modularity matrix B; we autoencode the random projection B R (computed
-// without materializing B), which preserves the community fingerprint per
-// node at O(nk + |E|k) cost.
+// Scalability note (README.md, "Deviations from the paper"): the original
+// autoencodes the dense n x n modularity matrix B; we autoencode the random
+// projection B R (computed without materializing B), which preserves the
+// community fingerprint per node at O(nk + |E|k) cost.
 #ifndef GRGAD_GAE_COMGA_H_
 #define GRGAD_GAE_COMGA_H_
 

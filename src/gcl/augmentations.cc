@@ -58,7 +58,7 @@ struct MutableGroup {
       const double* row = AttrRowOf(g, v);
       for (int j = 0; j < d; ++j) m.attrs[v][j] = row[j];
     }
-    // Streamed off the CSR in Edges() order — no O(E) intermediate vector.
+    // Streamed in ForEachEdge order — no O(E) intermediate vector.
     m.edges.reserve(g.num_edges());
     g.ForEachEdge([&m](int u, int v) { m.edges.emplace_back(u, v); });
     return m;

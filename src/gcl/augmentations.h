@@ -35,18 +35,19 @@ const char* ToString(AugmentationKind kind);
 /// Inverse of ToString(AugmentationKind); false for unknown names.
 bool ParseAugmentationKind(const std::string& name, AugmentationKind* out);
 
-/// Applies an augmentation to a candidate group's induced attributed graph.
+/// Applies an augmentation to a candidate group's induced attributed graph,
+/// read straight off a subgraph view (no materialization).
 ///
 /// `patterns` are the group's found topology patterns (only consulted by
 /// PPA/PBA; pass the SearchPatterns result). The returned graph always has
 /// at least one node. Randomness comes from `rng` only.
-Graph Augment(const Graph& group, AugmentationKind kind,
+Graph Augment(const SubgraphView& group, AugmentationKind kind,
               const FoundPatterns& patterns, Rng* rng);
 
-/// Same augmentation, straight off a subgraph view — identical output and
-/// identical `rng` consumption for the view of the same group, so the two
-/// forms are interchangeable mid-stream.
-Graph Augment(const SubgraphView& group, AugmentationKind kind,
+/// Same augmentation on a materialized group — identical output and
+/// identical `rng` consumption. The oracle the view form is pinned against
+/// (tests/traversal_equivalence_test.cc); the product reads views.
+Graph Augment(const Graph& group, AugmentationKind kind,
               const FoundPatterns& patterns, Rng* rng);
 
 }  // namespace grgad

@@ -1,93 +1,9 @@
 #include "src/graph/algorithms.h"
 
 #include <deque>
-#include <queue>
 #include <unordered_set>
 
 namespace grgad {
-
-std::vector<int> BfsDistances(const Graph& g, int src, int max_depth) {
-  GRGAD_CHECK(src >= 0 && src < g.num_nodes());
-  std::vector<int> dist(g.num_nodes(), kUnreachable);
-  dist[src] = 0;
-  std::deque<int> queue = {src};
-  while (!queue.empty()) {
-    const int u = queue.front();
-    queue.pop_front();
-    if (max_depth >= 0 && dist[u] >= max_depth) continue;
-    for (int w : g.Neighbors(u)) {
-      if (dist[w] == kUnreachable) {
-        dist[w] = dist[u] + 1;
-        queue.push_back(w);
-      }
-    }
-  }
-  return dist;
-}
-
-void BfsDistances(const Graph& g, int src, int max_depth,
-                  TraversalWorkspace* ws) {
-  GRGAD_CHECK(src >= 0 && src < g.num_nodes());
-  GRGAD_CHECK(ws != nullptr);
-  ws->Begin(g.num_nodes());
-  ws->Mark(src);
-  ws->hop[src] = 0;
-  ws->order.push_back(src);
-  for (size_t head = 0; head < ws->order.size(); ++head) {
-    const int u = ws->order[head];
-    if (max_depth >= 0 && ws->hop[u] >= max_depth) continue;
-    for (int w : g.Neighbors(u)) {
-      if (!ws->Seen(w)) {
-        ws->Mark(w);
-        ws->hop[w] = ws->hop[u] + 1;
-        ws->order.push_back(w);
-      }
-    }
-  }
-}
-
-bool BellmanFord(const Graph& g, int src, const std::vector<double>& weights,
-                 std::vector<double>* dist, std::vector<int>* parent) {
-  GRGAD_CHECK(src >= 0 && src < g.num_nodes());
-  GRGAD_CHECK(dist != nullptr && parent != nullptr);
-  GRGAD_CHECK_EQ(weights.size(), static_cast<size_t>(g.num_edges()));
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  dist->assign(g.num_nodes(), kInf);
-  parent->assign(g.num_nodes(), -1);
-  (*dist)[src] = 0.0;
-  (*parent)[src] = src;
-  bool changed = true;
-  // Edges stream straight out of the CSR in Edges() order (the weight
-  // index order) — the seed materialized an O(E) vector<pair> per call,
-  // which the per-pair weighted path search paid per anchor pair.
-  for (int round = 0; round < g.num_nodes() && changed; ++round) {
-    changed = false;
-    size_t e = 0;
-    g.ForEachEdge([&](int u, int v) {
-      const double w = weights[e++];
-      if ((*dist)[u] + w < (*dist)[v]) {
-        (*dist)[v] = (*dist)[u] + w;
-        (*parent)[v] = u;
-        changed = true;
-      }
-      if ((*dist)[v] + w < (*dist)[u]) {
-        (*dist)[u] = (*dist)[v] + w;
-        (*parent)[u] = v;
-        changed = true;
-      }
-    });
-  }
-  // One more pass: any improvement means a negative cycle.
-  bool negative_cycle = false;
-  size_t e = 0;
-  g.ForEachEdge([&](int u, int v) {
-    const double w = weights[e++];
-    if ((*dist)[u] + w < (*dist)[v] || (*dist)[v] + w < (*dist)[u]) {
-      negative_cycle = true;
-    }
-  });
-  return !negative_cycle;
-}
 
 bool BellmanFord(const Graph& g, int src, const std::vector<double>& weights,
                  TraversalWorkspace* ws) {
@@ -131,38 +47,6 @@ bool BellmanFord(const Graph& g, int src, const std::vector<double>& weights,
     }
   });
   return !negative_cycle;
-}
-
-void Dijkstra(const Graph& g, int src,
-              const std::function<double(int, int)>& cost,
-              std::vector<double>* dist, std::vector<int>* parent,
-              double max_cost) {
-  GRGAD_CHECK(src >= 0 && src < g.num_nodes());
-  GRGAD_CHECK(dist != nullptr && parent != nullptr);
-  constexpr double kInf = std::numeric_limits<double>::infinity();
-  dist->assign(g.num_nodes(), kInf);
-  parent->assign(g.num_nodes(), -1);
-  (*dist)[src] = 0.0;
-  (*parent)[src] = src;
-  using Entry = std::pair<double, int>;  // (distance, node)
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> queue;
-  queue.emplace(0.0, src);
-  while (!queue.empty()) {
-    const auto [d, u] = queue.top();
-    queue.pop();
-    if (d > (*dist)[u]) continue;  // Stale entry.
-    for (int w : g.Neighbors(u)) {
-      const double c = cost(u, w);
-      GRGAD_DCHECK(c >= 0.0);
-      const double nd = d + c;
-      if (max_cost > 0.0 && nd > max_cost) continue;
-      if (nd < (*dist)[w]) {
-        (*dist)[w] = nd;
-        (*parent)[w] = u;
-        queue.emplace(nd, w);
-      }
-    }
-  }
 }
 
 void Dijkstra(const Graph& g, int src, std::span<const double> slot_costs,

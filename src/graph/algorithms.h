@@ -1,13 +1,12 @@
 // Classic graph algorithms backing candidate-group sampling (Alg. 1),
 // topology-pattern search (Alg. 2), and the baselines' group extraction.
 //
-// Two families live here:
-//  - the allocating seed implementations (fresh O(n) dist/parent/visited
-//    buffers per call) — the reference shapes the equivalence tests pin;
-//  - workspace-backed variants that accept a TraversalWorkspace and are
-//    allocation-free at steady state (epoch-stamped marks instead of O(n)
-//    clears, reusable frontier/heap/stack buffers). Their results are
-//    element-for-element identical to the seed variants.
+// Most traversals have a workspace-backed form that accepts a
+// TraversalWorkspace and is allocation-free at steady state (epoch-stamped
+// marks instead of O(n) clears, reusable frontier/heap/stack buffers). Its
+// results are element-for-element identical to the allocating seed shape:
+// the allocating template next to it here, or the oracle in
+// tests/reference/reference_graph.h (tests/traversal_equivalence_test.cc).
 //
 // The traversals consumed by pattern search (ShortestPath, BuildBfsTree,
 // CyclesThrough) are templates over any Graph-shaped type so they run on
@@ -16,7 +15,6 @@
 #define GRGAD_GRAPH_ALGORITHMS_H_
 
 #include <algorithm>
-#include <functional>
 #include <limits>
 #include <span>
 #include <vector>
@@ -28,15 +26,6 @@ namespace grgad {
 
 // kUnreachable (unreachable marker in distance vectors) historically lived
 // here; it is now defined in traversal_workspace.h and re-exported.
-
-/// BFS hop distances from src; kUnreachable where not reachable within
-/// max_depth (max_depth < 0 means unbounded).
-std::vector<int> BfsDistances(const Graph& g, int src, int max_depth = -1);
-
-/// Workspace-backed BfsDistances: results via ws->Hop(v), visit order in
-/// ws->Order(); valid until the workspace's next traversal.
-void BfsDistances(const Graph& g, int src, int max_depth,
-                  TraversalWorkspace* ws);
 
 /// Shortest path src -> dst as a node sequence (inclusive), empty when
 /// unreachable. Unweighted graphs: BFS back-pointers. Works on Graph and
@@ -66,33 +55,22 @@ std::vector<int> ShortestPath(const G& g, int src, int dst) {
   return {};
 }
 
-/// Bellman–Ford single-source distances with per-edge weights (indexed as
-/// g.Edges() order, applied symmetrically; enumerated via ForEachEdge, so
-/// no O(E) edge vector is materialized). Used for weighted path search; on
-/// unit weights it reduces to BFS distances. Returns false on a negative
-/// cycle (distances then undefined).
-bool BellmanFord(const Graph& g, int src, const std::vector<double>& weights,
-                 std::vector<double>* dist, std::vector<int>* parent);
-
-/// Workspace-backed Bellman–Ford: dist/parent via ws->Dist(v)/ws->Parent(v).
+/// Bellman–Ford single-source distances with per-edge weights (indexed in
+/// ForEachEdge order, applied symmetrically), streamed off the CSR with no
+/// O(E) edge vector. Used for weighted path search; on unit weights it
+/// reduces to BFS distances. dist/parent via ws->Dist(v)/ws->Parent(v).
+/// Returns false on a negative cycle (distances then undefined).
 bool BellmanFord(const Graph& g, int src, const std::vector<double>& weights,
                  TraversalWorkspace* ws);
 
-/// Dijkstra single-source shortest paths with non-negative per-edge costs
-/// given by `cost(u, v)` (must be symmetric). dist is +inf where
-/// unreachable; parent[src] == src, -1 where unreachable. `max_cost`
-/// (if > 0) prunes expansion beyond that distance.
-void Dijkstra(const Graph& g, int src,
-              const std::function<double(int, int)>& cost,
-              std::vector<double>* dist, std::vector<int>* parent,
-              double max_cost = 0.0);
-
-/// Workspace-backed Dijkstra with precomputed per-adjacency-slot costs:
-/// slot_costs[g.AdjOffset(u) + i] is the cost of the directed traversal
-/// u -> Neighbors(u)[i] (size g.num_adj_slots()). Precomputing the slots
-/// once per sampling call replaces the seed's cost-functor re-evaluation on
-/// every relaxation attempt of every anchor. dist/parent via
-/// ws->Dist(v)/ws->Parent(v).
+/// Dijkstra single-source shortest paths with precomputed non-negative
+/// per-adjacency-slot costs: slot_costs[g.AdjOffset(u) + i] is the cost of
+/// the directed traversal u -> Neighbors(u)[i] (size g.num_adj_slots()).
+/// Precomputing the slots once per sampling call replaces the seed's
+/// cost-functor re-evaluation on every relaxation attempt of every anchor.
+/// dist is +inf where unreachable, parent[src] == src; both via
+/// ws->Dist(v)/ws->Parent(v). `max_cost` (if > 0) prunes expansion beyond
+/// that distance.
 void Dijkstra(const Graph& g, int src, std::span<const double> slot_costs,
               double max_cost, TraversalWorkspace* ws);
 

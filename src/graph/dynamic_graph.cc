@@ -5,7 +5,6 @@
 #include <climits>
 #include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string_view>
 #include <utility>
 #include <vector>
@@ -14,54 +13,30 @@
 #include "src/util/parallel.h"
 
 namespace grgad {
-namespace {
-
-const char* MutationKindName(GraphMutation::Kind kind) {
-  switch (kind) {
-    case GraphMutation::Kind::kAddEdge:
-      return "add-edge";
-    case GraphMutation::Kind::kRemoveEdge:
-      return "remove-edge";
-    case GraphMutation::Kind::kAddNode:
-      return "add-node";
-    case GraphMutation::Kind::kRemoveNode:
-      return "remove-node";
-  }
-  return "add-edge";
-}
-
-bool ParseMutationKind(const std::string& name, GraphMutation::Kind* out) {
-  if (name == "add-edge") {
-    *out = GraphMutation::Kind::kAddEdge;
-  } else if (name == "remove-edge") {
-    *out = GraphMutation::Kind::kRemoveEdge;
-  } else if (name == "add-node") {
-    *out = GraphMutation::Kind::kAddNode;
-  } else if (name == "remove-node") {
-    *out = GraphMutation::Kind::kRemoveNode;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-}  // namespace
 
 std::string FormatGraphMutation(const GraphMutation& m) {
-  return std::string(MutationKindName(m.kind)) + " " + std::to_string(m.u) +
-         " " + std::to_string(m.v);
+  const char* kind =
+      m.kind == GraphMutation::Kind::kAddEdge ? "add-edge" : "remove-edge";
+  return std::string(kind) + " " + std::to_string(m.u) + " " +
+         std::to_string(m.v);
 }
 
 bool ParseGraphMutation(const std::string& text, GraphMutation* out) {
-  std::istringstream in(text);
-  std::string kind_name;
+  TokenScanner in(text);
+  std::string_view kind;
   long long u = 0;
   long long v = 0;
-  if (!(in >> kind_name >> u >> v)) return false;
-  std::string extra;
-  if (in >> extra) return false;
+  if (!in.Token(&kind) || !in.I64(&u) || !in.I64(&v) || !in.AtEnd()) {
+    return false;
+  }
   GraphMutation m;
-  if (!ParseMutationKind(kind_name, &m.kind)) return false;
+  if (kind == "add-edge") {
+    m.kind = GraphMutation::Kind::kAddEdge;
+  } else if (kind == "remove-edge") {
+    m.kind = GraphMutation::Kind::kRemoveEdge;
+  } else {
+    return false;
+  }
   if (u < INT_MIN || u > INT_MAX || v < INT_MIN || v > INT_MAX) return false;
   m.u = static_cast<int>(u);
   m.v = static_cast<int>(v);
@@ -200,7 +175,6 @@ DynamicGraph::DynamicGraph(const Graph& base) {
     auto nb = base.Neighbors(v);
     std::copy(nb.begin(), nb.end(), adj_.begin() + row_start_[v]);
   }
-  attributes_ = base.attributes();
   packed_ = base;
   packed_applied_ = 0;
 }
@@ -272,43 +246,6 @@ bool DynamicGraph::RemoveEdge(int u, int v) {
   return true;
 }
 
-int DynamicGraph::AddNode(std::span<const double> attrs) {
-  GRGAD_CHECK_EQ(attrs.size(), attr_dim());
-  const int id = num_nodes_;
-  ++num_nodes_;
-  degree_.push_back(0);
-  row_start_.push_back(row_start_.back() + kRowSlack);
-  adj_.resize(row_start_.back(), 0);
-  if (!attrs.empty()) {
-    Matrix grown(num_nodes_, attr_dim());
-    for (int r = 0; r < id; ++r) {
-      const double* src = attributes_.RowPtr(r);
-      double* dst = grown.RowPtr(r);
-      std::copy(src, src + attr_dim(), dst);
-    }
-    std::copy(attrs.begin(), attrs.end(), grown.RowPtr(id));
-    attributes_ = std::move(grown);
-  }
-  log_.push_back({GraphMutation::Kind::kAddNode, id, -1});
-  ++stats_.nodes_added;
-  return id;
-}
-
-bool DynamicGraph::RemoveNode(int v) {
-  if (v < 0 || v >= num_nodes_ || degree_[v] == 0) return false;
-  // Detach via the row snapshot: EraseHalfEdge(v, w) shifts v's row, so
-  // copy the neighbor list first.
-  const std::vector<int> neighbors(Neighbors(v).begin(), Neighbors(v).end());
-  for (int w : neighbors) {
-    EraseHalfEdge(w, v);
-    --num_edges_;
-  }
-  degree_[v] = 0;
-  log_.push_back({GraphMutation::Kind::kRemoveNode, v, -1});
-  ++stats_.nodes_removed;
-  return true;
-}
-
 void DynamicGraph::Compact() {
   Regrow(kRowSlack);
   --stats_.regrows;  // Regrow() counted it; bill it as a compaction instead.
@@ -345,28 +282,12 @@ void DynamicGraph::ApplyPackedEdgeDelta(const GraphMutation& m) const {
 
 const Graph& DynamicGraph::PackedView() const {
   if (packed_applied_ == log_.size()) return packed_;
-  // Node mutations resize rows and the attribute matrix (and kRemoveNode
-  // does not log the edges it detached): full canonical rebuild. Pure edge
-  // churn replays the pending log as sorted splices into the cached CSR —
-  // O(E) memmoves per mutation instead of an O(E log E) builder pass, and
+  // Replay the pending log as sorted splices into the cached CSR — O(E)
+  // memmoves per mutation instead of an O(E log E) builder pass, and
   // bitwise the same Graph because a packed CSR is uniquely determined by
   // its edge set.
-  bool node_mutation = false;
-  for (size_t i = packed_applied_; i < log_.size() && !node_mutation; ++i) {
-    node_mutation = log_[i].kind == GraphMutation::Kind::kAddNode ||
-                    log_[i].kind == GraphMutation::Kind::kRemoveNode;
-  }
-  if (node_mutation) {
-    GraphBuilder builder(num_nodes_);
-    // ForEachEdge streams (u, v) pairs already in GraphBuilder's normalized
-    // sorted order, so Build()'s sort+unique pass is a near-no-op and the
-    // result is canonical: bitwise identical to building from scratch.
-    ForEachEdge([&builder](int u, int v) { builder.AddEdge(u, v); });
-    packed_ = builder.Build(attributes_);
-  } else {
-    for (size_t i = packed_applied_; i < log_.size(); ++i) {
-      ApplyPackedEdgeDelta(log_[i]);
-    }
+  for (size_t i = packed_applied_; i < log_.size(); ++i) {
+    ApplyPackedEdgeDelta(log_[i]);
   }
   packed_applied_ = log_.size();
   return packed_;
@@ -399,10 +320,6 @@ Status DynamicGraph::Validate() const {
   }
   if (half_edges != 2 * static_cast<int64_t>(num_edges_)) {
     return Status::Internal("dynamic graph: edge count mismatch");
-  }
-  if (has_attributes() &&
-      attributes_.rows() != static_cast<size_t>(num_nodes_)) {
-    return Status::Internal("dynamic graph: attribute row count mismatch");
   }
   return Status::Ok();
 }

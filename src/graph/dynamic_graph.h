@@ -2,8 +2,8 @@
 //
 // `Graph` is deliberately immutable: every consumer (traversals, the
 // sampler, GraphSNN, the GCN operators) assumes frozen sorted CSR rows. A
-// DynamicGraph keeps that world intact while absorbing edge/node
-// insertions and deletions from a running daemon:
+// DynamicGraph keeps that world intact while absorbing edge insertions and
+// deletions from a running daemon:
 //
 //  - Mutations apply to a slack CSR: each row owns a capacity range in one
 //    flat adjacency array, entries stay sorted, and inserts/erases memmove
@@ -11,7 +11,7 @@
 //    regrows with fresh headroom (an amortized compaction event, counted in
 //    stats). Neighbors/Degree/HasEdge/ForEachEdge expose exactly the
 //    immutable Graph's contract — sorted spans, u < v edge streaming in
-//    Edges() order — so the templated algorithms (BuildBfsTree,
+//    ForEachEdge order — so the templated algorithms (BuildBfsTree,
 //    CyclesThrough, ShortestPath) run on a DynamicGraph unmodified.
 //  - Every applied mutation is appended to a delta log, the record a
 //    dirty-region tracker or replication consumer replays; Compact()
@@ -22,10 +22,9 @@
 //    until the next mutation. Consumers that demand a `const Graph&`
 //    (GroupSampler, the training stages, SubgraphView) run on the view.
 //
-// Node semantics: AddNode appends a fresh isolated id (with an attribute
-// row); RemoveNode detaches every incident edge but keeps the id as an
-// isolated node. Ids are stable handles held by resident artifacts and
-// remote clients — renumbering on removal would corrupt both.
+// The node set and the attributes are the base graph's, fixed for the
+// graph's lifetime: node ids are stable handles held by resident artifacts
+// and remote clients.
 //
 // Not thread-safe: the serving daemon mutates from its single executor
 // thread, matching the one-request-at-a-time execution model.
@@ -38,21 +37,20 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/tensor/matrix.h"
 #include "src/util/status.h"
 
 namespace grgad {
 
-/// One applied mutation, in application order (the delta log entry).
+/// One applied edge mutation, in application order (the delta log entry).
 struct GraphMutation {
-  enum class Kind { kAddEdge, kRemoveEdge, kAddNode, kRemoveNode };
+  enum class Kind { kAddEdge, kRemoveEdge };
   Kind kind = Kind::kAddEdge;
-  int u = -1;  ///< Edge endpoint / the node id for node ops.
-  int v = -1;  ///< Second endpoint (-1 for node ops).
+  int u = -1;  ///< One endpoint.
+  int v = -1;  ///< The other endpoint.
 };
 
-/// Wire form of one mutation: `<kind> <u> <v>` with kind one of add-edge,
-/// remove-edge, add-node, remove-node (the WAL record payload).
+/// Wire form of one mutation: `<kind> <u> <v>` with kind add-edge or
+/// remove-edge (the WAL record payload).
 std::string FormatGraphMutation(const GraphMutation& m);
 
 /// Parses FormatGraphMutation output; false on any malformed input (extra
@@ -60,7 +58,7 @@ std::string FormatGraphMutation(const GraphMutation& m);
 bool ParseGraphMutation(const std::string& text, GraphMutation* out);
 
 /// Durable text form of a packed CSR: header (version, node/edge counts,
-/// attr_dim), the edge list in Edges() order, then one exact-double
+/// attr_dim), the edge list in ForEachEdge order, then one exact-double
 /// attribute row per node. ParseGraphSnapshot rebuilds through GraphBuilder,
 /// so the round trip is bitwise identical (offsets, adjacency, attributes)
 /// to the serialized graph.
@@ -71,8 +69,6 @@ Result<Graph> ParseGraphSnapshot(const std::string& text);
 struct DynamicGraphStats {
   uint64_t edges_added = 0;
   uint64_t edges_removed = 0;
-  uint64_t nodes_added = 0;
-  uint64_t nodes_removed = 0;
   uint64_t regrows = 0;       ///< Slack overflows that forced a CSR rebuild.
   uint64_t compactions = 0;   ///< Explicit Compact() calls.
   size_t pending_log = 0;     ///< Delta-log entries since the last Compact().
@@ -111,7 +107,7 @@ class DynamicGraph {
   bool HasEdge(int u, int v) const;
 
   /// Visits every undirected edge as visitor(u, v) with u < v, in exactly
-  /// the packed Graph's Edges() order.
+  /// the packed Graph's ForEachEdge order.
   template <typename Visitor>
   void ForEachEdge(Visitor&& visitor) const {
     for (int u = 0; u < num_nodes_; ++u) {
@@ -122,11 +118,6 @@ class DynamicGraph {
     }
   }
 
-  /// Node attributes (num_nodes x attr_dim); rebuilt on AddNode.
-  const Matrix& attributes() const { return attributes_; }
-  size_t attr_dim() const { return attributes_.cols(); }
-  bool has_attributes() const { return !attributes_.empty(); }
-
   // ---- mutations ------------------------------------------------------------
 
   /// Inserts the undirected edge {u, v}. False (and no log entry) for
@@ -136,16 +127,6 @@ class DynamicGraph {
   /// Removes the undirected edge {u, v}; false when absent or invalid.
   bool RemoveEdge(int u, int v);
 
-  /// Appends a fresh isolated node and returns its id. `attrs` must carry
-  /// attr_dim() values when the graph has attributes (extra values are an
-  /// error, missing attributes on an attributed graph zero-fill is NOT done
-  /// silently — pass the row).
-  int AddNode(std::span<const double> attrs);
-
-  /// Detaches every edge incident to v (the id survives as an isolated
-  /// node). False for out-of-range ids or already-isolated nodes.
-  bool RemoveNode(int v);
-
   // ---- compaction + packed view ---------------------------------------------
 
   /// Rebuilds the slack CSR with uniform kRowSlack headroom, truncates the
@@ -154,10 +135,9 @@ class DynamicGraph {
 
   /// Canonical immutable view of the current edge set — bitwise identical
   /// to GraphBuilder::Build over the same edges and attributes. Lazily
-  /// maintained: pending edge mutations are spliced into the cached packed
-  /// CSR in O(E) memmoves per mutation (node mutations force one full
-  /// canonical rebuild); the reference is invalidated by the next mutation
-  /// or Compact().
+  /// maintained: pending mutations are spliced into the cached packed CSR
+  /// in O(E) memmoves per mutation; the reference is invalidated by the
+  /// next mutation or Compact().
   const Graph& PackedView() const;
 
   /// Delta log since the last Compact(), in application order.
@@ -191,11 +171,12 @@ class DynamicGraph {
   std::vector<int> row_start_;  ///< Length num_nodes_+1: row capacity starts.
   std::vector<int> degree_;     ///< Live entries per row.
   std::vector<int> adj_;        ///< Capacity slots; live prefix sorted per row.
-  Matrix attributes_;
   std::vector<GraphMutation> log_;
   DynamicGraphStats stats_;
 
-  mutable Graph packed_;          ///< Cached canonical view.
+  /// Cached canonical view; it alone holds the node attributes, which edge
+  /// mutations never touch.
+  mutable Graph packed_;
   mutable size_t packed_applied_ = 0;  ///< log_ entries reflected in packed_.
 };
 

@@ -11,17 +11,6 @@ bool Graph::HasEdge(int u, int v) const {
   return std::binary_search(nb.begin(), nb.end(), v);
 }
 
-std::vector<std::pair<int, int>> Graph::Edges() const {
-  std::vector<std::pair<int, int>> out;
-  out.reserve(adj_.size() / 2);
-  for (int u = 0; u < num_nodes_; ++u) {
-    for (int v : Neighbors(u)) {
-      if (u < v) out.emplace_back(u, v);
-    }
-  }
-  return out;
-}
-
 void Graph::SetAttributes(Matrix attributes) {
   GRGAD_CHECK_EQ(attributes.rows(), static_cast<size_t>(num_nodes_));
   attributes_ = std::move(attributes);

@@ -42,13 +42,10 @@ class Graph {
   /// True iff the undirected edge {u, v} exists. O(log deg(u)).
   bool HasEdge(int u, int v) const;
 
-  /// All undirected edges as (u, v) with u < v.
-  std::vector<std::pair<int, int>> Edges() const;
-
-  /// Visits every undirected edge as visitor(u, v) with u < v, in exactly
-  /// the Edges() order, without materializing the O(E) vector — callers
-  /// that index per-edge data (e.g. Bellman–Ford weights) keep their own
-  /// running edge counter. Hot-path replacement for Edges().
+  /// Visits every undirected edge as visitor(u, v) with u < v, ascending
+  /// by (u, v) — the edge order every per-edge array uses. Callers that
+  /// index per-edge data (e.g. Bellman–Ford weights) keep their own running
+  /// edge counter.
   template <typename Visitor>
   void ForEachEdge(Visitor&& visitor) const {
     for (int u = 0; u < num_nodes_; ++u) {

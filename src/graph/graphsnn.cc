@@ -68,7 +68,7 @@ std::vector<double> GraphSnnEdgeWeights(const Graph& g, double lambda) {
     weights[e] = ne / (nv * (nv - 1.0)) * std::pow(nv, lambda);
   };
   // Chunked pool loop keyed by node: node u's up-edges (v > u) occupy a
-  // consecutive index range in Edges() order, so an O(n) prefix sum over
+  // consecutive index range in ForEachEdge order, so an O(n) prefix sum over
   // per-node up-degrees replaces a materialized O(E) pair vector — each
   // worker streams its nodes' rows straight off the CSR. Writes go to
   // distinct weights[e] slots and the per-edge arithmetic is untouched, so

@@ -33,7 +33,7 @@ struct GraphSnnOptions {
 SparseMatrix GraphSnnAdjacency(const Graph& g,
                                const GraphSnnOptions& options = {});
 
-/// Structural coefficients per edge in g.Edges() order (testing hook).
+/// Structural coefficients per edge in ForEachEdge order (testing hook).
 /// Edge-parallel with per-worker scratch; bitwise identical across
 /// GRGAD_THREADS.
 std::vector<double> GraphSnnEdgeWeights(const Graph& g, double lambda);

@@ -45,15 +45,4 @@ void SubgraphView::Reset(const Graph& host, std::span<const int> nodes) {
   offsets_[n] = static_cast<int>(adj_.size());
 }
 
-bool SubgraphView::HasEdge(int u, int v) const {
-  if (u < 0 || v < 0 || u >= num_nodes() || v >= num_nodes()) return false;
-  auto nb = Neighbors(u);
-  return std::binary_search(nb.begin(), nb.end(), v);
-}
-
-Graph SubgraphView::Materialize() const {
-  GRGAD_CHECK(host_ != nullptr);
-  return host_->InducedSubgraph(nodes_);
-}
-
 }  // namespace grgad

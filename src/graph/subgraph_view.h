@@ -9,8 +9,8 @@
 // re-targets the view at a new node list reusing all internal scratch, the
 // global→local remap is epoch-stamped so re-targeting costs O(group), not
 // O(host), and attributes are read through the host rows instead of copied.
-// SearchPatterns / ClassifyGroupPattern / Augment / the TPGCL batch builder
-// accept views in place of induced copies;
+// SearchPatterns / Augment / the TPGCL batch builder take views in place of
+// induced copies;
 // tests/traversal_equivalence_test.cc pins view ≡ InducedSubgraph.
 #ifndef GRGAD_GRAPH_SUBGRAPH_VIEW_H_
 #define GRGAD_GRAPH_SUBGRAPH_VIEW_H_
@@ -55,9 +55,6 @@ class SubgraphView {
     return offsets_[v + 1] - offsets_[v];
   }
 
-  /// True iff the local edge {u, v} exists. O(log deg(u)).
-  bool HasEdge(int u, int v) const;
-
   /// Host node id of a local id (the mapping() of the materialized graph).
   int GlobalId(int local) const {
     GRGAD_DCHECK(local >= 0 && local < num_nodes());
@@ -87,7 +84,7 @@ class SubgraphView {
   }
 
   /// Visits every local undirected edge as visitor(u, v) with u < v, in
-  /// exactly the order Materialize().Edges() would report.
+  /// exactly the order the materialized graph's ForEachEdge would.
   template <typename Visitor>
   void ForEachEdge(Visitor&& visitor) const {
     for (int u = 0; u < num_nodes(); ++u) {
@@ -97,10 +94,6 @@ class SubgraphView {
       }
     }
   }
-
-  /// The equivalent materialized graph (host.InducedSubgraph of the node
-  /// list) — for tests and callers that need an owning Graph.
-  Graph Materialize() const;
 
  private:
   const Graph* host_ = nullptr;

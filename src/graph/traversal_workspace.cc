@@ -123,12 +123,6 @@ void TraversalWorkspacePool::Prewarm(int count, int n, size_t heap_slots) {
   }
 }
 
-void TraversalWorkspacePool::Trim() {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_ -= static_cast<int>(free_.size());
-  free_.clear();
-}
-
 TraversalWorkspacePool& TraversalWorkspacePool::Global() {
   static TraversalWorkspacePool* pool = new TraversalWorkspacePool();
   return *pool;

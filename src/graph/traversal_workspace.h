@@ -175,12 +175,6 @@ class TraversalWorkspacePool {
   /// deterministic regardless of which worker leases which workspace.
   void Prewarm(int count, int n, size_t heap_slots = 0);
 
-  /// Frees every pooled (non-leased) workspace, releasing buffers retained
-  /// from the largest graph sampled so far — pools otherwise hold their
-  /// high-water capacity for the process lifetime. For long-lived callers
-  /// (e.g. a serving layer) switching to much smaller graphs.
-  void Trim();
-
   /// Process-wide pool (workspaces survive across sampling calls).
   static TraversalWorkspacePool& Global();
 

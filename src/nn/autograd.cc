@@ -237,43 +237,6 @@ Var Add(const Var& a, const Var& b) {
   });
 }
 
-Var Sub(const Var& a, const Var& b) {
-  Matrix out = AcquireUninit(a.rows(), a.cols());
-  SubInto(a.value(), b.value(), &out);
-  auto an = AutogradOps::node(a);
-  auto bn = AutogradOps::node(b);
-  return MakeOpNode(std::move(out), {a, b}, [an, bn](const Matrix& g) {
-    Acc(an, g);
-    if (bn->requires_grad) {
-      Matrix ng = AcquireUninit(g.rows(), g.cols());
-      ScaledInto(g, -1.0, &ng);
-      bn->AccumulateGrad(std::move(ng));
-      ReleaseScratch(std::move(ng));
-    }
-  });
-}
-
-Var Mul(const Var& a, const Var& b) {
-  Matrix out = AcquireUninit(a.rows(), a.cols());
-  HadamardInto(a.value(), b.value(), &out);
-  auto an = AutogradOps::node(a);
-  auto bn = AutogradOps::node(b);
-  return MakeOpNode(std::move(out), {a, b}, [an, bn](const Matrix& g) {
-    if (an->requires_grad) {
-      Matrix ga = AcquireUninit(g.rows(), g.cols());
-      HadamardInto(g, bn->value, &ga);
-      an->AccumulateGrad(std::move(ga));
-      ReleaseScratch(std::move(ga));
-    }
-    if (bn->requires_grad) {
-      Matrix gb = AcquireUninit(g.rows(), g.cols());
-      HadamardInto(g, an->value, &gb);
-      bn->AccumulateGrad(std::move(gb));
-      ReleaseScratch(std::move(gb));
-    }
-  });
-}
-
 Var Scale(const Var& a, double s) {
   Matrix out = AcquireUninit(a.rows(), a.cols());
   ScaledInto(a.value(), s, &out);
@@ -387,25 +350,6 @@ Var MeanAll(const Var& a) {
   const double n = static_cast<double>(a.value().size());
   GRGAD_CHECK_GT(n, 0.0);
   return Scale(SumAll(a), 1.0 / n);
-}
-
-Var SumSquares(const Var& a) {
-  Matrix out = AcquireUninit(1, 1);
-  double s = 0.0;
-  const Matrix& x = a.value();
-  for (size_t i = 0; i < x.rows(); ++i) {
-    const double* row = x.RowPtr(i);
-    for (size_t j = 0; j < x.cols(); ++j) s += row[j] * row[j];
-  }
-  out(0, 0) = s;
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a}, [an](const Matrix& g) {
-    if (!an->requires_grad) return;
-    Matrix gg = AcquireUninit(an->value.rows(), an->value.cols());
-    ScaledInto(an->value, 2.0 * g(0, 0), &gg);
-    an->AccumulateGrad(std::move(gg));
-    ReleaseScratch(std::move(gg));
-  });
 }
 
 Var MseLoss(const Var& pred, const Matrix& target) {

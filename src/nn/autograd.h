@@ -9,9 +9,8 @@
 // (Spmm/MatMul/AddRowBroadcast/Relu), autoencoder losses
 // (Sigmoid/MseLoss/PairInnerProduct over sampled pairs), the MINE objective
 // of Eqn. (8) (GatherRows/ConcatCols/MeanAll/MaskedLogSumExp/AddScalar), and
-// Add/Scale to combine losses. Sub, Mul, SumAll and SumSquares serve the
-// gradient tests, which build their checks from them. Every op's gradient
-// is validated against finite differences in tests/autograd_test.cc.
+// Add/Scale to combine losses. Every op's gradient is validated against
+// finite differences in tests/autograd_test.cc.
 #ifndef GRGAD_NN_AUTOGRAD_H_
 #define GRGAD_NN_AUTOGRAD_H_
 
@@ -149,10 +148,6 @@ Var Spmm(std::shared_ptr<const SparseMatrix> s, const Var& x);
 
 /// Elementwise a + b (same shape).
 Var Add(const Var& a, const Var& b);
-/// Elementwise a - b (same shape).
-Var Sub(const Var& a, const Var& b);
-/// Elementwise a * b (same shape).
-Var Mul(const Var& a, const Var& b);
 /// a * scalar.
 Var Scale(const Var& a, double s);
 /// a + scalar, elementwise (gradient passes through unchanged).
@@ -169,8 +164,6 @@ Var Sigmoid(const Var& a);
 Var SumAll(const Var& a);
 /// Mean of all entries -> 1x1.
 Var MeanAll(const Var& a);
-/// Sum of squared entries -> 1x1 (L2 penalty building block).
-Var SumSquares(const Var& a);
 
 /// Mean squared error against a constant target -> 1x1. `target` is
 /// captured by reference and must outlive Backward() (training loops hold

@@ -78,29 +78,4 @@ void Adam::ZeroGrad() {
   for (Var& p : params_) p.ZeroGrad();
 }
 
-Sgd::Sgd(std::vector<Var> params, double lr)
-    : params_(std::move(params)), lr_(lr) {
-  for (const Var& p : params_) {
-    GRGAD_CHECK(p.defined() && p.requires_grad());
-  }
-}
-
-void Sgd::Step() {
-  for (Var& p : params_) {
-    if (p.grad().empty()) continue;
-    double* __restrict value = p.mutable_value().data();
-    const double* __restrict g = p.grad().data();
-    const size_t size = p.mutable_value().size();
-    const double lr = lr_;
-    auto update_range = [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) value[i] -= lr * g[i];
-    };
-    ParallelFor(size, kElementwiseParallelGrain, update_range);
-  }
-}
-
-void Sgd::ZeroGrad() {
-  for (Var& p : params_) p.ZeroGrad();
-}
-
 }  // namespace grgad

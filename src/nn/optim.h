@@ -41,19 +41,6 @@ class Adam {
   int64_t t_ = 0;
 };
 
-/// Plain SGD (used in tests as a reference).
-class Sgd {
- public:
-  Sgd(std::vector<Var> params, double lr);
-
-  void Step();
-  void ZeroGrad();
-
- private:
-  std::vector<Var> params_;
-  double lr_;
-};
-
 }  // namespace grgad
 
 #endif  // GRGAD_NN_OPTIM_H_

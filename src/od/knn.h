@@ -1,5 +1,5 @@
-// Distance-based detectors: exact k-nearest-neighbor utilities plus the
-// classic kNN outlier score (distance to the k-th neighbor).
+// The classic distance-based kNN outlier score (distance to the k-th
+// nearest neighbor).
 //
 // The distance work routes through src/od/neighbor_index.h: one distance
 // sweep per FitScore (GEMM panels) feeding a shared per-row selection.
@@ -10,20 +10,6 @@
 #include "src/od/neighbor_index.h"
 
 namespace grgad {
-
-/// Pairwise Euclidean distance matrix (n x n, zero diagonal), via the GEMM
-/// identity ‖xᵢ‖²+‖xⱼ‖²−2·xᵢ·xⱼ (panel-streamed into the output, still
-/// bitwise symmetric with an exactly zero diagonal).
-Matrix PairwiseDistances(const Matrix& x);
-
-/// For each row, indices of its k nearest other rows (ascending distance;
-/// ties broken by index). k is clamped to n-1. One distance sweep.
-std::vector<std::vector<int>> KNearestNeighbors(const Matrix& x, int k);
-
-/// KNearestNeighbors from a precomputed distance matrix (n x n, zero
-/// diagonal) — callers that already hold distances pay no second sweep.
-std::vector<std::vector<int>> KNearestNeighborsFromDistances(const Matrix& d,
-                                                             int k);
 
 /// kNN outlier detector: score = distance to the k-th nearest neighbor.
 class KnnDetector : public OutlierDetector {

@@ -104,25 +104,6 @@ void SelectRow(const double* drow, size_t n, size_t i, int k,
 
 }  // namespace
 
-NeighborIndex NeighborIndexFromDistances(const Matrix& d, int k) {
-  const size_t n = d.rows();
-  GRGAD_CHECK(d.cols() == n);
-  GRGAD_CHECK_GT(n, 1u);
-  k = std::min(k, static_cast<int>(n) - 1);
-  GRGAD_CHECK_GT(k, 0);
-  NeighborIndex out;
-  out.n = static_cast<int>(n);
-  out.k = k;
-  out.ids.resize(n * static_cast<size_t>(k));
-  out.dists.resize(n * static_cast<size_t>(k));
-  std::vector<int> cand;
-  cand.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    SelectRow(d.RowPtr(i), n, i, k, &cand, &out);
-  }
-  return out;
-}
-
 NeighborIndex BuildNeighborIndex(const Matrix& x, int k) {
   const size_t n = x.rows();
   GRGAD_CHECK_GT(n, 1u);

@@ -49,18 +49,14 @@ struct NeighborIndex {
 /// GEMM distance panels. Exactly one distance sweep.
 NeighborIndex BuildNeighborIndex(const Matrix& x, int k);
 
-/// Selection-only constructor from a precomputed full distance matrix
-/// (n x n, zero diagonal) — lets callers holding a distance matrix avoid
-/// recomputing it. Serial; performs no distance sweep.
-NeighborIndex NeighborIndexFromDistances(const Matrix& d, int k);
-
 namespace internal {
 
 /// Streams the pairwise-distance matrix of x in row panels: sink(i0, rows,
 /// panel) receives distances for rows [i0, i0+rows) as the first `rows`
-/// rows of `panel` (each row length n, sqrt'ed, diagonal zeroed). Shared by
-/// BuildNeighborIndex and PairwiseDistances; does not touch the sweep
-/// counter.
+/// rows of `panel` (each row length n, sqrt'ed, diagonal zeroed). The
+/// tiled MatMul accumulates each Gram element over columns in ascending
+/// order, so the distances are bitwise symmetric with an exactly zero
+/// diagonal. BuildNeighborIndex's sweep; does not touch the sweep counter.
 void ForEachDistancePanel(
     const Matrix& x,
     const std::function<void(size_t i0, size_t rows, const Matrix& panel)>&

@@ -79,11 +79,4 @@ std::vector<int> AnchorDirtyTracker::TakeDirtyIndices() {
   return indices;
 }
 
-void AnchorDirtyTracker::EnsureNodeCapacity(int num_nodes) {
-  if (static_cast<size_t>(num_nodes) > stamp_.size()) {
-    stamp_.resize(static_cast<size_t>(num_nodes), 0);
-    anchor_index_of_.resize(static_cast<size_t>(num_nodes), -1);
-  }
-}
-
 }  // namespace grgad

@@ -54,14 +54,38 @@ class AnchorDirtyTracker {
   /// anchors inside the ball, whether or not they were already dirty.
   template <typename G>
   int MarkFromEdge(const G& g, int u, int v) {
-    return MarkBall(g, u, v);
-  }
-
-  /// MarkFromEdge for node-scoped mutations (RemoveNode detaches every
-  /// incident edge): one ball around v, called before detaching.
-  template <typename G>
-  int MarkFromNode(const G& g, int v) {
-    return MarkBall(g, v, -1);
+    // Edge mutations never add nodes: the graph keeps Reset()'s node set.
+    GRGAD_DCHECK(static_cast<size_t>(g.num_nodes()) == stamp_.size());
+    if (++epoch_ == 0) {  // Stamp wrap: invalidate all stamps once.
+      std::fill(stamp_.begin(), stamp_.end(), 0);
+      epoch_ = 1;
+    }
+    int fanout = 0;
+    queue_.clear();
+    depths_.clear();
+    auto visit = [&](int node, int d) {
+      if (node < 0 || node >= g.num_nodes() || stamp_[node] == epoch_) return;
+      stamp_[node] = epoch_;
+      queue_.push_back(node);
+      depths_.push_back(d);
+      const int ai = anchor_index_of_[node];
+      if (ai >= 0) {
+        ++fanout;
+        if (!dirty_[ai]) {
+          dirty_[ai] = 1;
+          ++dirty_count_;
+        }
+      }
+    };
+    visit(u, 0);
+    visit(v, 0);
+    for (size_t head = 0; head < queue_.size(); ++head) {
+      const int node = queue_[head];
+      const int d = depths_[head];
+      if (d == radius_) continue;
+      for (int w : g.Neighbors(node)) visit(w, d + 1);
+    }
+    return fanout;
   }
 
   /// Marks every anchor dirty (the weighted-mode fallback, and the recovery
@@ -86,45 +110,6 @@ class AnchorDirtyTracker {
   std::vector<int> PeekDirtyIndices() const;
 
  private:
-  template <typename G>
-  int MarkBall(const G& g, int a, int b) {
-    EnsureNodeCapacity(g.num_nodes());
-    if (++epoch_ == 0) {  // Stamp wrap: invalidate all stamps once.
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-    int fanout = 0;
-    queue_.clear();
-    depths_.clear();
-    auto visit = [&](int node, int d) {
-      if (node < 0 || node >= g.num_nodes() || stamp_[node] == epoch_) return;
-      stamp_[node] = epoch_;
-      queue_.push_back(node);
-      depths_.push_back(d);
-      const int ai = anchor_index_of_[node];
-      if (ai >= 0) {
-        ++fanout;
-        if (!dirty_[ai]) {
-          dirty_[ai] = 1;
-          ++dirty_count_;
-        }
-      }
-    };
-    visit(a, 0);
-    visit(b, 0);
-    for (size_t head = 0; head < queue_.size(); ++head) {
-      const int node = queue_[head];
-      const int d = depths_[head];
-      if (d == radius_) continue;
-      for (int w : g.Neighbors(node)) visit(w, d + 1);
-    }
-    return fanout;
-  }
-
-  /// Grows the per-node buffers when the graph gained nodes since Reset()
-  /// (new nodes are never anchors, but BFS traverses them).
-  void EnsureNodeCapacity(int num_nodes);
-
   int radius_ = 0;
   bool all_dirty_ = false;
   size_t dirty_count_ = 0;

@@ -76,7 +76,7 @@ void SubsampleIfOver(const GroupSamplerOptions& options,
   *out = std::move(sampled);
 }
 
-/// GraphSNN path costs in g.Edges() index order (empty unless requested).
+/// GraphSNN path costs in ForEachEdge index order (empty unless requested).
 std::vector<double> SnnPathCosts(const Graph& g,
                                  const GroupSamplerOptions& options) {
   if (options.path_mode != PathSearchMode::kGraphSnnWeighted) return {};
@@ -233,11 +233,6 @@ TraversalWorkspacePool& WeightedPool() {
 
 GroupSampler::GroupSampler(GroupSamplerOptions options) : options_(options) {}
 
-void GroupSampler::TrimWorkspaces() {
-  TraversalWorkspacePool::Global().Trim();
-  WeightedPool().Trim();
-}
-
 void GroupSampler::PrewarmWorkspaces(const Graph& g,
                                      const GroupSamplerOptions& options,
                                      int count) {
@@ -252,11 +247,6 @@ void GroupSampler::PrewarmWorkspaces(const Graph& g,
   WeightedPool().Prewarm(
       instances, g.num_nodes(),
       use_attr_paths ? static_cast<size_t>(g.num_adj_slots()) + 1 : 0);
-}
-
-std::vector<std::vector<int>> GroupSampler::Sample(
-    const Graph& g, const std::vector<int>& anchors) const {
-  return Sample(g, anchors, nullptr);
 }
 
 std::vector<std::vector<int>> GroupSampler::Sample(

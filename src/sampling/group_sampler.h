@@ -98,14 +98,11 @@ class GroupSampler {
 
   /// Samples candidate groups from `anchors`; each group is a sorted list of
   /// node ids in `g`. Exact duplicates are removed; overlaps are kept.
-  std::vector<std::vector<int>> Sample(const Graph& g,
-                                       const std::vector<int>& anchors) const;
-
-  /// Sample with an optional per-phase timing breakdown (nullptr skips the
-  /// clock reads entirely).
-  std::vector<std::vector<int>> Sample(const Graph& g,
-                                       const std::vector<int>& anchors,
-                                       SampleTelemetry* telemetry) const;
+  /// `telemetry` receives an optional per-phase timing breakdown (nullptr
+  /// skips the clock reads entirely).
+  std::vector<std::vector<int>> Sample(
+      const Graph& g, const std::vector<int>& anchors,
+      SampleTelemetry* telemetry = nullptr) const;
 
   /// Sample()'s per-anchor fan-out, restricted to `anchor_indices`:
   /// recomputes the pre-dedup candidate lists of exactly those anchors into
@@ -131,12 +128,6 @@ class GroupSampler {
       const Graph& g, const std::vector<int>& anchors,
       const std::vector<std::vector<std::vector<int>>>& per_anchor,
       SampleTelemetry* telemetry = nullptr) const;
-
-  /// Releases the pooled traversal workspaces (the shared BFS pool and the
-  /// sampler's weighted-search pool), dropping buffer capacity retained
-  /// from the largest graph sampled so far. For long-lived processes
-  /// switching to much smaller graphs; the next Sample() re-warms.
-  static void TrimWorkspaces();
 
   /// Pre-grows both pools for `g`-sized traversals under `options` — the
   /// exact Prewarm calls Sample() issues, so a subsequent

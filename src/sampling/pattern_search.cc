@@ -106,8 +106,19 @@ FoundPatterns SearchPatternsImpl(const G& group_graph,
   return out;
 }
 
-template <typename G>
-TopologyPattern ClassifyGroupPatternImpl(const G& group_graph) {
+}  // namespace
+
+FoundPatterns SearchPatterns(const Graph& group_graph,
+                             const PatternSearchOptions& options) {
+  return SearchPatternsImpl(group_graph, options);
+}
+
+FoundPatterns SearchPatterns(const SubgraphView& group_view,
+                             const PatternSearchOptions& options) {
+  return SearchPatternsImpl(group_view, options);
+}
+
+TopologyPattern ClassifyGroupPattern(const Graph& group_graph) {
   const int n = group_graph.num_nodes();
   const int m = group_graph.num_edges();
   if (n <= 1) return TopologyPattern::kMixed;
@@ -137,26 +148,6 @@ TopologyPattern ClassifyGroupPatternImpl(const G& group_graph) {
   for (int v = 0; v < n; ++v) max_deg = std::max(max_deg,
                                                  group_graph.Degree(v));
   return max_deg <= 2 ? TopologyPattern::kPath : TopologyPattern::kTree;
-}
-
-}  // namespace
-
-FoundPatterns SearchPatterns(const Graph& group_graph,
-                             const PatternSearchOptions& options) {
-  return SearchPatternsImpl(group_graph, options);
-}
-
-FoundPatterns SearchPatterns(const SubgraphView& group_view,
-                             const PatternSearchOptions& options) {
-  return SearchPatternsImpl(group_view, options);
-}
-
-TopologyPattern ClassifyGroupPattern(const Graph& group_graph) {
-  return ClassifyGroupPatternImpl(group_graph);
-}
-
-TopologyPattern ClassifyGroupPattern(const SubgraphView& group_view) {
-  return ClassifyGroupPatternImpl(group_view);
 }
 
 }  // namespace grgad

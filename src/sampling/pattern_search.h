@@ -6,10 +6,12 @@
 // endpoint simple chains, trees as BFS trees hanging from branching roots
 // in the acyclic remainder.
 //
-// Both entry points run on a materialized `Graph` or on a non-materializing
-// `SubgraphView` — the two produce identical patterns, since a view exposes
-// the exact local graph its materialization would
-// (tests/traversal_equivalence_test.cc).
+// Pattern search runs on a non-materializing `SubgraphView` of the group
+// (the candidate stage and TPGCL hold views). Its `Graph` form runs the same
+// body on a materialized copy and is the oracle the view path is pinned
+// against: a view exposes the exact local graph its materialization would
+// (tests/traversal_equivalence_test.cc). Classification runs on a
+// materialized group `Graph` (the Table II reports hold induced copies).
 #ifndef GRGAD_SAMPLING_PATTERN_SEARCH_H_
 #define GRGAD_SAMPLING_PATTERN_SEARCH_H_
 
@@ -47,11 +49,12 @@ struct PatternSearchOptions {
   int min_tree_children = 3;
 };
 
-/// Finds Tree/Path/Cycle patterns in the (small) graph `group_graph`.
-FoundPatterns SearchPatterns(const Graph& group_graph,
-                             const PatternSearchOptions& options = {});
-/// Same patterns, straight off a subgraph view (no materialization).
+/// Finds Tree/Path/Cycle patterns in the (small) group seen by
+/// `group_view`.
 FoundPatterns SearchPatterns(const SubgraphView& group_view,
+                             const PatternSearchOptions& options = {});
+/// Same patterns on a materialized group: the oracle for the view form.
+FoundPatterns SearchPatterns(const Graph& group_graph,
                              const PatternSearchOptions& options = {});
 
 /// Classifies a group's dominant topology pattern (Table II):
@@ -60,7 +63,6 @@ FoundPatterns SearchPatterns(const SubgraphView& group_view,
 ///  - cyclic and >= half the nodes lie on cycles -> kCycle
 ///  - otherwise                          -> kMixed
 TopologyPattern ClassifyGroupPattern(const Graph& group_graph);
-TopologyPattern ClassifyGroupPattern(const SubgraphView& group_view);
 
 }  // namespace grgad
 

@@ -76,11 +76,6 @@ Status ServeDaemon::ReplayWalRecord(const WalRecord& record) {
   switch (record.kind) {
     case WalRecord::Kind::kMutation: {
       const GraphMutation& m = record.mutation;
-      if (m.kind != GraphMutation::Kind::kAddEdge &&
-          m.kind != GraphMutation::Kind::kRemoveEdge) {
-        return Status::DataLoss("wal replay: unsupported mutation kind at seq " +
-                                std::to_string(record.seq));
-      }
       int fanout = 0;
       ApplyEdgeMutation(m.kind == GraphMutation::Kind::kAddEdge, m.u, m.v,
                         &fanout);

@@ -73,11 +73,6 @@ void MatrixArena::Release(Matrix&& m) {
   free_[ShapeKey(m.rows(), m.cols())].push_back(std::move(m));
 }
 
-void MatrixArena::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  free_.clear();
-}
-
 MatrixArena::Stats MatrixArena::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;
@@ -92,11 +87,6 @@ void MatrixArena::SetByteBudget(uint64_t bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   byte_budget_ = bytes;
   budget_exhausted_ = false;
-}
-
-uint64_t MatrixArena::byte_budget() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return byte_budget_;
 }
 
 void MatrixArena::SetStopToken(CancelToken token) {

@@ -70,13 +70,6 @@ class MatrixArena {
   /// Empty matrices are ignored.
   void Release(Matrix&& m);
 
-  /// Frees every parked buffer (stats are kept). Long-lived arenas shared
-  /// across fits of differently-shaped graphs should Clear() between
-  /// workloads: free lists are keyed by exact shape, so buffers from a
-  /// stale graph size are never reused and would otherwise be held until
-  /// arena destruction.
-  void Clear();
-
   Stats stats() const;
   void ResetStats();
 
@@ -89,7 +82,6 @@ class MatrixArena {
   /// aborting. The "arena/alloc" fault point (src/util/fault.h) triggers
   /// the same path regardless of budget.
   void SetByteBudget(uint64_t bytes);
-  uint64_t byte_budget() const;
 
   /// The token fired on budget breach; typically the run's CancelToken so
   /// existing epoch polls see the stop.

@@ -11,27 +11,6 @@
 
 namespace grgad {
 
-Matrix Matrix::FromRows(
-    std::initializer_list<std::initializer_list<double>> rows) {
-  const size_t r = rows.size();
-  const size_t c = r == 0 ? 0 : rows.begin()->size();
-  Matrix out(r, c);
-  size_t i = 0;
-  for (const auto& row : rows) {
-    GRGAD_CHECK_EQ(row.size(), c);
-    size_t j = 0;
-    for (double v : row) out(i, j++) = v;
-    ++i;
-  }
-  return out;
-}
-
-Matrix Matrix::Identity(size_t n) {
-  Matrix out(n, n);
-  for (size_t i = 0; i < n; ++i) out(i, i) = 1.0;
-  return out;
-}
-
 Matrix Matrix::Gaussian(size_t rows, size_t cols, Rng* rng, double mean,
                         double stddev) {
   GRGAD_CHECK(rng != nullptr);
@@ -89,12 +68,6 @@ void Matrix::SubInPlace(const Matrix& other) {
                      [](double x, double y) { return x - y; });
 }
 
-void Matrix::MulInPlace(const Matrix& other) {
-  GRGAD_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  ElementwiseInPlace(data_.data(), other.data_.data(), data_.size(),
-                     [](double x, double y) { return x * y; });
-}
-
 void Matrix::CopyFrom(const Matrix& other) {
   GRGAD_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
   if (!data_.empty()) {
@@ -103,28 +76,9 @@ void Matrix::CopyFrom(const Matrix& other) {
   }
 }
 
-Matrix& Matrix::operator+=(const Matrix& other) {
-  AddInPlace(other);
-  return *this;
-}
-
-Matrix& Matrix::operator-=(const Matrix& other) {
-  SubInPlace(other);
-  return *this;
-}
-
 Matrix& Matrix::operator*=(double s) {
   for (double& v : data_) v *= s;
   return *this;
-}
-
-Matrix Matrix::Hadamard(const Matrix& other) const {
-  GRGAD_CHECK(rows_ == other.rows_ && cols_ == other.cols_);
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < data_.size(); ++i) {
-    out.data_[i] = data_[i] * other.data_[i];
-  }
-  return out;
 }
 
 Matrix Matrix::Transpose() const {
@@ -161,10 +115,6 @@ void TransposeInto(const Matrix& a, Matrix* out) {
   });
 }
 
-Matrix Matrix::Map(const std::function<double(double)>& f) const {
-  return MapFn(f);
-}
-
 void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
 double Matrix::Sum() const {
@@ -173,29 +123,10 @@ double Matrix::Sum() const {
   return s;
 }
 
-double Matrix::Mean() const { return data_.empty() ? 0.0 : Sum() / data_.size(); }
-
-double Matrix::MaxAbs() const {
-  double m = 0.0;
-  for (double v : data_) m = std::max(m, std::fabs(v));
-  return m;
-}
-
 double Matrix::FrobeniusNorm() const {
   double s = 0.0;
   for (double v : data_) s += v * v;
   return std::sqrt(s);
-}
-
-std::vector<double> Matrix::RowSums() const {
-  std::vector<double> out(rows_, 0.0);
-  for (size_t i = 0; i < rows_; ++i) {
-    const double* row = RowPtr(i);
-    double s = 0.0;
-    for (size_t j = 0; j < cols_; ++j) s += row[j];
-    out[i] = s;
-  }
-  return out;
 }
 
 std::vector<double> Matrix::ColMeans() const {
@@ -253,24 +184,6 @@ std::string Matrix::ToString(int max_rows, int max_cols) const {
     if (c < cols_) out += "...";
   }
   if (r < rows_) out += "\n  ...";
-  return out;
-}
-
-Matrix operator+(const Matrix& a, const Matrix& b) {
-  Matrix out = a;
-  out += b;
-  return out;
-}
-
-Matrix operator-(const Matrix& a, const Matrix& b) {
-  Matrix out = a;
-  out -= b;
-  return out;
-}
-
-Matrix operator*(const Matrix& a, double s) {
-  Matrix out = a;
-  out *= s;
   return out;
 }
 
@@ -368,27 +281,12 @@ void MatMulPanel(const double* __restrict ad, const double* __restrict bd,
 
 }  // namespace
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  GRGAD_CHECK_EQ(a.cols(), b.rows());
-  Matrix out(a.rows(), b.cols());
-  // A fresh Matrix is already zeroed; run the panels directly.
-  const size_t k = a.cols(), n = b.cols();
-  const double* ad = a.data();
-  const double* bd = b.data();
-  double* od = out.data();
-  ParallelFor(a.rows(), 2 * kTileRows, [&](size_t begin, size_t end) {
-    MatMulPanel(ad, bd, od, begin, end, k, n);
-  });
-  return out;
-}
-
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out) {
   GRGAD_CHECK_EQ(a.cols(), b.rows());
   GRGAD_CHECK(out != nullptr && out->rows() == a.rows() &&
               out->cols() == b.cols());
   // The tail kernels accumulate into the output, so clear stale contents
-  // first; full register tiles overwrite regardless. Bitwise identical to
-  // the allocating MatMul, whose fresh output is zeroed the same way.
+  // first; full register tiles overwrite regardless.
   out->Fill(0.0);
   const size_t k = a.cols(), n = b.cols();
   const double* ad = a.data();
@@ -414,37 +312,17 @@ void WithTransposed(const Matrix& m, Fn&& fn) {
 
 }  // namespace
 
-Matrix MatMulTransposeB(const Matrix& a, const Matrix& b) {
-  GRGAD_CHECK_EQ(a.cols(), b.cols());
-  // Transposing b once and reusing the blocked MatMul beats the seed's
-  // per-element dot products by a wide margin: the dots re-streamed all of b
-  // per output row and (without -ffast-math) could not vectorize their
-  // reductions. Accumulation order per out element is ascending k in both,
-  // but the compiler may contract FMAs differently in the two loop shapes,
-  // so agreement with the reference kernel is ~1e-13, not bitwise (results
-  // ARE bitwise stable across thread counts and runs).
-  Matrix out(a.rows(), b.rows());
-  MatMulTransposeBInto(a, b, &out);
-  return out;
-}
-
+// Transposing one operand once and running the blocked MatMulInto beats the
+// seed's per-element dot products (TransposeB) and serial rank-1
+// accumulation (TransposeA) by a wide margin. Accumulation order per out
+// element is ascending k in both shapes, but the compiler may contract FMAs
+// differently, so agreement with the reference kernels is ~1e-13, not
+// bitwise (results ARE bitwise stable across thread counts and runs).
 void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* out) {
   GRGAD_CHECK_EQ(a.cols(), b.cols());
   GRGAD_CHECK(out != nullptr && out->rows() == a.rows() &&
               out->cols() == b.rows());
   WithTransposed(b, [&](const Matrix& bt) { MatMulInto(a, bt, out); });
-}
-
-Matrix MatMulTransposeA(const Matrix& a, const Matrix& b) {
-  GRGAD_CHECK_EQ(a.rows(), b.rows());
-  // Same trick as MatMulTransposeB: one blocked transpose converts the seed's
-  // serial rank-1 accumulation into the parallel blocked MatMul, whose row
-  // partition needs no cross-thread accumulator merging and keeps ascending-k
-  // accumulation per element (agreement with the reference kernel within
-  // ~1e-13 — see MatMulTransposeB about FMA contraction).
-  Matrix out(a.cols(), b.cols());
-  MatMulTransposeAInto(a, b, &out);
-  return out;
 }
 
 void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* out) {
@@ -460,22 +338,6 @@ void AddInto(const Matrix& a, const Matrix& b, Matrix* out) {
               out->cols() == a.cols());
   ElementwiseInto(a.data(), b.data(), out->data(), a.size(),
                   [](double x, double y) { return x + y; });
-}
-
-void SubInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  GRGAD_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  GRGAD_CHECK(out != nullptr && out->rows() == a.rows() &&
-              out->cols() == a.cols());
-  ElementwiseInto(a.data(), b.data(), out->data(), a.size(),
-                  [](double x, double y) { return x - y; });
-}
-
-void HadamardInto(const Matrix& a, const Matrix& b, Matrix* out) {
-  GRGAD_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  GRGAD_CHECK(out != nullptr && out->rows() == a.rows() &&
-              out->cols() == a.cols());
-  ElementwiseInto(a.data(), b.data(), out->data(), a.size(),
-                  [](double x, double y) { return x * y; });
 }
 
 void ScaledInto(const Matrix& a, double s, Matrix* out) {

@@ -9,8 +9,6 @@
 #define GRGAD_TENSOR_MATRIX_H_
 
 #include <cstddef>
-#include <functional>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -34,13 +32,6 @@ class Matrix {
   /// rows x cols matrix filled with `fill` (default 0).
   Matrix(size_t rows, size_t cols, double fill = 0.0)
       : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
-
-  /// Builds from nested initializer lists; all rows must have equal width.
-  static Matrix FromRows(
-      std::initializer_list<std::initializer_list<double>> rows);
-
-  /// n x n identity.
-  static Matrix Identity(size_t n);
 
   /// I.i.d. Gaussian entries drawn from `rng`.
   static Matrix Gaussian(size_t rows, size_t cols, Rng* rng,
@@ -73,10 +64,6 @@ class Matrix {
   double* data() { return data_.data(); }
   const double* data() const { return data_.data(); }
 
-  /// In-place elementwise arithmetic; shapes must match. operator+= runs the
-  /// chunked AddInPlace kernel below.
-  Matrix& operator+=(const Matrix& other);
-  Matrix& operator-=(const Matrix& other);
   /// In-place scalar multiply.
   Matrix& operator*=(double s);
 
@@ -87,24 +74,12 @@ class Matrix {
   void AddInPlace(const Matrix& other);
   /// this -= other (chunked like AddInPlace; aliasing allowed).
   void SubInPlace(const Matrix& other);
-  /// this = this .* other, elementwise in place (chunked like AddInPlace;
-  /// aliasing allowed).
-  void MulInPlace(const Matrix& other);
 
   /// Overwrites this (same shape required) with other's entries.
   void CopyFrom(const Matrix& other);
 
-  /// Elementwise (Hadamard) product; shapes must match.
-  Matrix Hadamard(const Matrix& other) const;
-
   /// Returns a transposed copy.
   Matrix Transpose() const;
-
-  /// Returns f applied elementwise.
-  ///
-  /// Prefer MapFn when f is a lambda: the std::function overload costs an
-  /// indirect call per element in the training hot path.
-  Matrix Map(const std::function<double(double)>& f) const;
 
   /// Returns f applied elementwise, with f inlined into the loop (and the
   /// loop chunked over the thread pool for large matrices). Chunking only
@@ -148,15 +123,9 @@ class Matrix {
 
   /// Sum over all entries.
   double Sum() const;
-  /// Mean over all entries (0 for an empty matrix).
-  double Mean() const;
-  /// max_ij |a_ij| (0 for an empty matrix).
-  double MaxAbs() const;
   /// sqrt(sum of squares).
   double FrobeniusNorm() const;
 
-  /// Per-row sums, length rows().
-  std::vector<double> RowSums() const;
   /// Per-column means, length cols().
   std::vector<double> ColMeans() const;
 
@@ -183,33 +152,17 @@ class Matrix {
   std::vector<double> data_;
 };
 
-/// out = a + b (shapes must match).
-Matrix operator+(const Matrix& a, const Matrix& b);
-/// out = a - b (shapes must match).
-Matrix operator-(const Matrix& a, const Matrix& b);
-/// out = a * s.
-Matrix operator*(const Matrix& a, double s);
-
-/// Dense product a(m x k) * b(k x n); parallel blocked i-k-j kernel.
-Matrix MatMul(const Matrix& a, const Matrix& b);
-
-/// a(m x k) * b(n x k)^T -> m x n. Avoids materializing b^T.
-Matrix MatMulTransposeB(const Matrix& a, const Matrix& b);
-
-/// a(k x m)^T * b(k x n) -> m x n. Avoids materializing a^T.
-Matrix MatMulTransposeA(const Matrix& a, const Matrix& b);
-
 // ---------------------------------------------------------------------------
 // Destination-passing kernels.
 //
 // These write into a caller-provided, correctly shaped output instead of
 // allocating one, so arena-backed callers (src/nn/autograd.cc) can reuse
 // buffers across training epochs. Every kernel fully defines its output
-// (stale contents are overwritten or zeroed first) and runs the exact same
-// accumulation order as its allocating twin, so results are bitwise equal.
+// (stale contents are overwritten or zeroed first).
 // ---------------------------------------------------------------------------
 
-/// out = a * b; out must be a.rows() x b.cols().
+/// out = a * b (parallel register-blocked kernel); out must be
+/// a.rows() x b.cols().
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a * b^T; out must be a.rows() x b.rows(). Scratch for the
 /// materialized transpose comes from the current arena when one is
@@ -221,10 +174,6 @@ void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* out);
 void TransposeInto(const Matrix& a, Matrix* out);
 /// out = a + b (all three the same shape; out may not alias a or b).
 void AddInto(const Matrix& a, const Matrix& b, Matrix* out);
-/// out = a - b (all three the same shape; out may not alias a or b).
-void SubInto(const Matrix& a, const Matrix& b, Matrix* out);
-/// out = a .* b (all three the same shape; out may not alias a or b).
-void HadamardInto(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a * s (same shape; out may not alias a).
 void ScaledInto(const Matrix& a, double s, Matrix* out);
 

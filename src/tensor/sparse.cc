@@ -48,17 +48,6 @@ SparseMatrix SparseMatrix::FromTriplets(size_t rows, size_t cols,
   return out;
 }
 
-SparseMatrix& SparseMatrix::operator=(const SparseMatrix& other) {
-  if (this == &other) return *this;
-  rows_ = other.rows_;
-  cols_ = other.cols_;
-  row_ptr_ = other.row_ptr_;
-  col_idx_ = other.col_idx_;
-  values_ = other.values_;
-  transpose_cache_.reset();  // See the copy constructor.
-  return *this;
-}
-
 SparseMatrix& SparseMatrix::operator=(SparseMatrix&& other) noexcept {
   if (this == &other) return *this;
   rows_ = other.rows_;
@@ -70,15 +59,6 @@ SparseMatrix& SparseMatrix::operator=(SparseMatrix&& other) noexcept {
   return *this;
 }
 
-SparseMatrix SparseMatrix::Identity(size_t n) {
-  std::vector<Triplet> t;
-  t.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    t.push_back({static_cast<int>(i), static_cast<int>(i), 1.0});
-  }
-  return FromTriplets(n, n, std::move(t));
-}
-
 double SparseMatrix::At(size_t i, size_t j) const {
   GRGAD_DCHECK(i < rows_ && j < cols_);
   auto cols = RowCols(i);
@@ -87,23 +67,11 @@ double SparseMatrix::At(size_t i, size_t j) const {
   return values_[row_ptr_[i] + (it - cols.begin())];
 }
 
-Matrix SparseMatrix::Spmm(const Matrix& dense) const {
-  GRGAD_CHECK_EQ(cols_, dense.rows());
-  Matrix out(rows_, dense.cols());
-  SpmmIntoPrezeroed(dense, &out);
-  return out;
-}
-
 void SparseMatrix::SpmmInto(const Matrix& dense, Matrix* out) const {
   GRGAD_CHECK_EQ(cols_, dense.rows());
   GRGAD_CHECK(out != nullptr && out->rows() == rows_ &&
               out->cols() == dense.cols());
   out->Fill(0.0);
-  SpmmIntoPrezeroed(dense, out);
-}
-
-/// Row-parallel CSR gather accumulating into a zeroed `out`.
-void SparseMatrix::SpmmIntoPrezeroed(const Matrix& dense, Matrix* out) const {
   const size_t n = dense.cols();
   ParallelFor(rows_, 256, [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
@@ -125,8 +93,11 @@ const SparseMatrix& SparseMatrix::TransposedView() const {
   return *transpose_cache_;
 }
 
-Matrix SparseMatrix::SpmmTransposeThis(const Matrix& dense) const {
+void SparseMatrix::SpmmTransposeThisInto(const Matrix& dense,
+                                         Matrix* out) const {
   GRGAD_CHECK_EQ(rows_, dense.rows());
+  GRGAD_CHECK(out != nullptr && out->rows() == cols_ &&
+              out->cols() == dense.cols());
   // Two kernels, one accumulation order. With parallelism available, gather
   // over the cached transpose: output rows partition across the pool (the
   // scatter direction cannot parallelize without atomics) and the transpose
@@ -136,27 +107,11 @@ Matrix SparseMatrix::SpmmTransposeThis(const Matrix& dense) const {
   // gather's random loads stall the FMA chain. Both visit each output
   // element's terms in ascending source-row order, so the choice (and the
   // thread count) never changes results bitwise.
-  Matrix out(cols_, dense.cols());
-  SpmmTransposeThisIntoPrezeroed(dense, &out);
-  return out;
-}
-
-void SparseMatrix::SpmmTransposeThisInto(const Matrix& dense,
-                                         Matrix* out) const {
-  GRGAD_CHECK_EQ(rows_, dense.rows());
-  GRGAD_CHECK(out != nullptr && out->rows() == cols_ &&
-              out->cols() == dense.cols());
-  out->Fill(0.0);
-  SpmmTransposeThisIntoPrezeroed(dense, out);
-}
-
-/// Kernel choice and accumulation order documented at SpmmTransposeThis.
-void SparseMatrix::SpmmTransposeThisIntoPrezeroed(const Matrix& dense,
-                                                  Matrix* out) const {
   if (ParallelismDegree() > 1) {
-    TransposedView().SpmmIntoPrezeroed(dense, out);
+    TransposedView().SpmmInto(dense, out);
     return;
   }
+  out->Fill(0.0);
   const size_t n = dense.cols();
   for (size_t i = 0; i < rows_; ++i) {
     const double* __restrict drow = dense.RowPtr(i);
@@ -186,16 +141,6 @@ SparseMatrix SparseMatrix::Transpose() const {
       const size_t q = cursor[col_idx_[p]]++;
       out.col_idx_[q] = static_cast<int>(i);
       out.values_[q] = values_[p];
-    }
-  }
-  return out;
-}
-
-Matrix SparseMatrix::ToDense() const {
-  Matrix out(rows_, cols_);
-  for (size_t i = 0; i < rows_; ++i) {
-    for (size_t p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {
-      out(i, col_idx_[p]) += values_[p];
     }
   }
   return out;

@@ -33,14 +33,14 @@ class SparseMatrix {
 
   // Copies share no state; the lazily built transpose cache stays behind
   // (value-scaling helpers mutate the copy right after copying, which would
-  // invalidate it). Moves keep the cache: the source is abandoned.
+  // invalidate it). Moves keep the cache: the source is abandoned. There is
+  // no copy assignment.
   SparseMatrix(const SparseMatrix& other)
       : rows_(other.rows_),
         cols_(other.cols_),
         row_ptr_(other.row_ptr_),
         col_idx_(other.col_idx_),
         values_(other.values_) {}
-  SparseMatrix& operator=(const SparseMatrix& other);
   SparseMatrix(SparseMatrix&& other) noexcept
       : rows_(other.rows_),
         cols_(other.cols_),
@@ -54,9 +54,6 @@ class SparseMatrix {
   /// kept (callers that care can Prune). Indices must be in range.
   static SparseMatrix FromTriplets(size_t rows, size_t cols,
                                    std::vector<Triplet> triplets);
-
-  /// n x n identity.
-  static SparseMatrix Identity(size_t n);
 
   size_t rows() const { return rows_; }
   size_t cols() const { return cols_; }
@@ -81,34 +78,24 @@ class SparseMatrix {
   /// Value at (i, j); 0 if not stored. O(log nnz(row)).
   double At(size_t i, size_t j) const;
 
-  /// Sparse * dense -> dense (rows x dense.cols()); parallel over rows.
-  Matrix Spmm(const Matrix& dense) const;
-
-  /// Destination-passing Spmm: writes this * dense into `out` (must be
-  /// rows() x dense.cols(); stale contents are cleared first). Bitwise
-  /// identical to Spmm; lets arena-backed callers reuse the output buffer.
+  /// Sparse * dense, written into `out` (must be rows() x dense.cols();
+  /// stale contents are cleared first) so arena-backed callers reuse the
+  /// output buffer; parallel over rows.
   void SpmmInto(const Matrix& dense, Matrix* out) const;
 
-  /// this^T * dense -> dense (cols x dense.cols()); used by autograd backward
-  /// of Spmm. Runs as a row-parallel gather over a transposed copy of this
-  /// matrix that is built once (thread-safely) on first call and reused —
-  /// graph operators are fixed across training, so every epoch after the
-  /// first pays only the Spmm. The gather visits source rows in ascending
-  /// order per output row, exactly the seed scatter's accumulation order, so
-  /// results are bitwise identical to the serial reference kernel.
-  Matrix SpmmTransposeThis(const Matrix& dense) const;
-
-  /// Destination-passing SpmmTransposeThis: writes this^T * dense into
-  /// `out` (must be cols() x dense.cols(); stale contents are cleared
-  /// first). Bitwise identical to SpmmTransposeThis.
+  /// this^T * dense, written into `out` (must be cols() x dense.cols();
+  /// stale contents are cleared first); the autograd backward of Spmm. Runs
+  /// as a row-parallel gather over a transposed copy of this matrix that is
+  /// built once (thread-safely) on first call and reused — graph operators
+  /// are fixed across training, so every epoch after the first pays only
+  /// the Spmm. The gather visits source rows in ascending order per output
+  /// row, exactly the seed scatter's accumulation order, so results are
+  /// bitwise identical to the serial reference kernel.
   void SpmmTransposeThisInto(const Matrix& dense, Matrix* out) const;
 
   /// Transposed copy (CSR of the transpose); O(nnz + rows + cols) counting
   /// sort, no triplet round-trip.
   SparseMatrix Transpose() const;
-
-  /// Dense copy; intended for tests and small matrices.
-  Matrix ToDense() const;
 
   /// Sum of each row, length rows().
   std::vector<double> RowSums() const;
@@ -128,18 +115,14 @@ class SparseMatrix {
   /// Returns the cached transpose, building it under cache_mu_ if absent.
   const SparseMatrix& TransposedView() const;
 
-  /// Gather kernels accumulating into an already-zeroed output.
-  void SpmmIntoPrezeroed(const Matrix& dense, Matrix* out) const;
-  void SpmmTransposeThisIntoPrezeroed(const Matrix& dense, Matrix* out) const;
-
   size_t rows_;
   size_t cols_;
   std::vector<size_t> row_ptr_;  // length rows_ + 1
   std::vector<int> col_idx_;     // length nnz
   std::vector<double> values_;   // length nnz
 
-  // Lazily built CSR of the transpose, serving SpmmTransposeThis. Guarded by
-  // cache_mu_; never copied (see copy constructor).
+  // Lazily built CSR of the transpose, serving SpmmTransposeThisInto.
+  // Guarded by cache_mu_; never copied (see copy constructor).
   mutable std::mutex cache_mu_;
   mutable std::shared_ptr<const SparseMatrix> transpose_cache_;
 

@@ -135,13 +135,6 @@ bool TokenScanner::Hex64(uint64_t* out) {
   return true;
 }
 
-bool TokenScanner::F64Bits(double* out) {
-  uint64_t bits;
-  if (!Hex64(&bits)) return false;
-  std::memcpy(out, &bits, sizeof *out);
-  return true;
-}
-
 bool TokenScanner::AtEnd() {
   while (p_ < end_ && IsSpace(*p_)) ++p_;
   return p_ == end_;

@@ -49,7 +49,7 @@ std::string FormatExactDouble(double v);
 /// ~3x cheaper than even fast-path decimal. The encoding for bulk durable
 /// payloads (snapshot attribute rows) where parse speed bounds recovery
 /// time; human-facing singles keep FormatExactDouble. Reader counterpart:
-/// TokenScanner::F64Bits.
+/// the fixed-width row decode of ParseGraphSnapshot.
 std::string FormatDoubleBits(double v);
 
 /// FNV-1a 64 over the bytes of `s` (the checksum recorded by manifests and
@@ -158,9 +158,6 @@ class TokenScanner {
   bool F64(double* out);
   /// Next token must be exactly 16 hex digits — the HexU64 wire form.
   bool Hex64(uint64_t* out);
-  /// Hex64 read as the raw bits of a double — the FormatDoubleBits wire
-  /// form. Pure bit reassembly, no rounding anywhere to reason about.
-  bool F64Bits(double* out);
   /// True when only whitespace remains (the "no trailing data" check).
   bool AtEnd();
   /// Unconsumed input (may start with whitespace) — lets a caller hand a

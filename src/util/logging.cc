@@ -36,11 +36,6 @@ const char* LevelTag(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) {
-  std::call_once(g_env_once, InitFromEnv);
-  g_level = level;
-}
-
 LogLevel GetLogLevel() {
   std::call_once(g_env_once, InitFromEnv);
   return g_level;

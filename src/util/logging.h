@@ -2,8 +2,8 @@
 //
 // Benches and examples log progress at kInfo; library internals log only at
 // kDebug so that production use is silent by default. The level is process
-// global and can be set programmatically or via the GRGAD_LOG_LEVEL
-// environment variable (debug|info|warning|error|off).
+// global and set by the GRGAD_LOG_LEVEL environment variable
+// (debug|info|warning|error|off).
 #ifndef GRGAD_UTIL_LOGGING_H_
 #define GRGAD_UTIL_LOGGING_H_
 
@@ -14,9 +14,6 @@ namespace grgad {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3,
                       kOff = 4 };
-
-/// Sets the global minimum level that will be emitted.
-void SetLogLevel(LogLevel level);
 
 /// Current global level (initialized from GRGAD_LOG_LEVEL on first use).
 LogLevel GetLogLevel();

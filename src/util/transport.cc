@@ -130,18 +130,6 @@ UnixServerSocket::UnixServerSocket(UnixServerSocket&& other) noexcept
   other.path_.clear();
 }
 
-UnixServerSocket& UnixServerSocket::operator=(
-    UnixServerSocket&& other) noexcept {
-  if (this != &other) {
-    CloseAndUnlink();
-    fd_ = other.fd_;
-    path_ = std::move(other.path_);
-    other.fd_ = -1;
-    other.path_.clear();
-  }
-  return *this;
-}
-
 void UnixServerSocket::CloseAndUnlink() {
   if (fd_ >= 0) {
     ::close(fd_);

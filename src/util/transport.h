@@ -67,7 +67,6 @@ class UnixServerSocket {
 
   ~UnixServerSocket();
   UnixServerSocket(UnixServerSocket&& other) noexcept;
-  UnixServerSocket& operator=(UnixServerSocket&& other) noexcept;
   UnixServerSocket(const UnixServerSocket&) = delete;
   UnixServerSocket& operator=(const UnixServerSocket&) = delete;
 

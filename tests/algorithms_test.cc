@@ -1,4 +1,4 @@
-// Graph algorithms: BFS distances/trees, shortest paths (BFS + Bellman-Ford
+// Graph algorithms: BFS trees, shortest paths (BFS + Bellman-Ford
 // agreement on unit weights), connected components, subset components,
 // cycle enumeration, and local structure statistics.
 #include "src/graph/algorithms.h"
@@ -27,17 +27,6 @@ Graph Ring(int n) {
   return b.Build();
 }
 
-TEST(AlgorithmsTest, BfsDistances) {
-  Graph g = PathAndTriangle();
-  const auto dist = BfsDistances(g, 0);
-  EXPECT_EQ(dist[0], 0);
-  EXPECT_EQ(dist[4], 4);
-  EXPECT_EQ(dist[5], kUnreachable);
-  const auto bounded = BfsDistances(g, 0, 2);
-  EXPECT_EQ(bounded[2], 2);
-  EXPECT_EQ(bounded[3], kUnreachable);
-}
-
 TEST(AlgorithmsTest, ShortestPathOnPathGraph) {
   Graph g = PathAndTriangle();
   EXPECT_EQ(ShortestPath(g, 0, 4), (std::vector<int>{0, 1, 2, 3, 4}));
@@ -55,13 +44,12 @@ TEST(AlgorithmsTest, ShortestPathPicksShortcut) {
 
 TEST(AlgorithmsTest, BellmanFordMatchesBfsOnUnitWeights) {
   Graph g = Ring(7);
-  const std::vector<double> unit(g.Edges().size(), 1.0);
-  std::vector<double> dist;
-  std::vector<int> parent;
-  ASSERT_TRUE(BellmanFord(g, 0, unit, &dist, &parent));
-  const auto bfs = BfsDistances(g, 0);
+  const std::vector<double> unit(g.num_edges(), 1.0);
+  TraversalWorkspace ws;
+  ASSERT_TRUE(BellmanFord(g, 0, unit, &ws));
+  const BfsTree bfs = BuildBfsTree(g, 0, /*max_depth=*/-1);
   for (int v = 0; v < g.num_nodes(); ++v) {
-    EXPECT_DOUBLE_EQ(dist[v], static_cast<double>(bfs[v]));
+    EXPECT_DOUBLE_EQ(ws.Dist(v), static_cast<double>(bfs.depth[v]));
   }
 }
 
@@ -72,22 +60,20 @@ TEST(AlgorithmsTest, BellmanFordRespectsWeights) {
   b.AddEdge(0, 2);
   b.AddEdge(1, 2);
   Graph g = b.Build();
-  // Edges() order is sorted: (0,1), (0,2), (1,2).
+  // ForEachEdge order is sorted: (0,1), (0,2), (1,2).
   std::vector<double> w = {10.0, 1.0, 1.0};
-  std::vector<double> dist;
-  std::vector<int> parent;
-  ASSERT_TRUE(BellmanFord(g, 0, w, &dist, &parent));
-  EXPECT_DOUBLE_EQ(dist[1], 2.0);
-  EXPECT_EQ(parent[1], 2);
-  EXPECT_EQ(parent[2], 0);
+  TraversalWorkspace ws;
+  ASSERT_TRUE(BellmanFord(g, 0, w, &ws));
+  EXPECT_DOUBLE_EQ(ws.Dist(1), 2.0);
+  EXPECT_EQ(ws.Parent(1), 2);
+  EXPECT_EQ(ws.Parent(2), 0);
 }
 
 TEST(AlgorithmsTest, BellmanFordDetectsNegativeCycle) {
   Graph g = Ring(3);
   std::vector<double> w = {-1.0, -1.0, -1.0};
-  std::vector<double> dist;
-  std::vector<int> parent;
-  EXPECT_FALSE(BellmanFord(g, 0, w, &dist, &parent));
+  TraversalWorkspace ws;
+  EXPECT_FALSE(BellmanFord(g, 0, w, &ws));
 }
 
 TEST(AlgorithmsTest, BfsTreeStructure) {

@@ -13,6 +13,7 @@
 #include "src/nn/autograd.h"
 #include "src/nn/optim.h"
 #include "src/tensor/matrix.h"
+#include "tests/kernel_test_util.h"
 
 namespace grgad {
 namespace {
@@ -61,7 +62,7 @@ TEST(MatrixArenaTest, ShapeKeyingIsExact) {
 
 TEST(MatrixArenaTest, AcquireCopyMatchesSource) {
   MatrixArena arena;
-  Matrix src = Matrix::FromRows({{1.0, 2.0}, {3.0, 4.0}});
+  Matrix src = testing::FromRows({{1.0, 2.0}, {3.0, 4.0}});
   Matrix copy = arena.AcquireCopy(src);
   EXPECT_TRUE(copy.ApproxEquals(src, 0.0));
 }
@@ -80,19 +81,6 @@ TEST(MatrixArenaTest, StatsTrackBytesAndOutstanding) {
   EXPECT_EQ(arena.outstanding(), 0);
   arena.ResetStats();
   EXPECT_EQ(arena.stats().acquired, 0u);
-}
-
-TEST(MatrixArenaTest, ClearDropsParkedBuffers) {
-  MatrixArena arena;
-  arena.Release(arena.Acquire(3, 3));
-  arena.Release(arena.Acquire(5, 2));
-  EXPECT_EQ(arena.free_buffers(), 2u);
-  arena.Clear();
-  EXPECT_EQ(arena.free_buffers(), 0u);
-  // The arena stays usable; the next acquire is a fresh heap allocation.
-  const uint64_t before = arena.stats().heap_allocs;
-  Matrix m = arena.Acquire(3, 3);
-  EXPECT_EQ(arena.stats().heap_allocs, before + 1);
 }
 
 TEST(MatrixArenaTest, ReleaseIgnoresEmptyMatrices) {
@@ -126,9 +114,9 @@ TEST(ArenaScopeTest, TapeTeardownReturnsEveryBuffer) {
   MatrixArena arena;
   {
     ArenaScope scope(&arena);
-    Var w(Matrix::FromRows({{0.5, -0.25}, {1.0, 2.0}}),
+    Var w(testing::FromRows({{0.5, -0.25}, {1.0, 2.0}}),
           /*requires_grad=*/true);
-    Var x(Matrix::FromRows({{1.0, 2.0}, {3.0, 4.0}}));
+    Var x(testing::FromRows({{1.0, 2.0}, {3.0, 4.0}}));
     Var loss = MeanAll(Relu(MatMul(x, w)));
     loss.Backward();
     EXPECT_GT(arena.outstanding(), 0);
@@ -143,8 +131,8 @@ TEST(ArenaScopeTest, TapeTeardownReturnsEveryBuffer) {
 TEST(ArenaScopeTest, SecondEpochIsHeapAllocationFree) {
   MatrixArena arena;
   ArenaScope scope(&arena);
-  Var w(Matrix::FromRows({{0.5, -0.25}, {1.0, 2.0}}), /*requires_grad=*/true);
-  Var x(Matrix::FromRows({{1.0, 2.0}, {3.0, 4.0}}));
+  Var w(testing::FromRows({{0.5, -0.25}, {1.0, 2.0}}), /*requires_grad=*/true);
+  Var x(testing::FromRows({{1.0, 2.0}, {3.0, 4.0}}));
   Adam adam({w});
   auto epoch = [&] {
     adam.ZeroGrad();

@@ -5,10 +5,13 @@
 #include <cmath>
 #include <functional>
 #include <memory>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/util/rng.h"
+#include "tests/kernel_test_util.h"
 
 namespace grgad {
 namespace {
@@ -47,13 +50,23 @@ void CheckGradient(const std::function<Var(const Var&)>& builder,
   }
 }
 
+/// sum_ij x_ij^2, the nonlinear loss of most checks below, built from live
+/// ops: every row's inner product with itself, summed.
+Var SquaredNorm(const Var& x) {
+  auto diagonal = std::make_shared<std::vector<std::pair<int, int>>>();
+  for (int i = 0; i < static_cast<int>(x.rows()); ++i) {
+    diagonal->emplace_back(i, i);
+  }
+  return SumAll(PairInnerProduct(x, std::move(diagonal)));
+}
+
 Matrix RandomMatrix(size_t r, size_t c, uint64_t seed, double scale = 1.0) {
   Rng rng(seed);
   return Matrix::Gaussian(r, c, &rng, 0.0, scale);
 }
 
 TEST(AutogradBasics, LeafProperties) {
-  Matrix m = Matrix::FromRows({{1.0, 2.0}, {3.0, 4.0}});
+  Matrix m = testing::FromRows({{1.0, 2.0}, {3.0, 4.0}});
   Var v(m, /*requires_grad=*/true);
   EXPECT_TRUE(v.defined());
   EXPECT_TRUE(v.requires_grad());
@@ -100,7 +113,7 @@ TEST(AutogradBasics, DiamondGraphAccumulates) {
 TEST(AutogradBasics, ConstantLeafGetsNoGrad) {
   Var c(Matrix(2, 2, 1.0), false);
   Var x(Matrix(2, 2, 1.0), true);
-  Var loss = SumAll(Mul(c, x));
+  Var loss = SumAll(Add(c, x));
   loss.Backward();
   EXPECT_TRUE(c.grad().empty());
   EXPECT_FALSE(x.grad().empty());
@@ -110,7 +123,7 @@ TEST(AutogradGradients, MatMulLeft) {
   Matrix b = RandomMatrix(3, 2, 7);
   CheckGradient(
       [&b](const Var& x) {
-        return SumSquares(MatMul(x, Var(b)));
+        return SquaredNorm(MatMul(x, Var(b)));
       },
       RandomMatrix(4, 3, 1));
 }
@@ -119,7 +132,7 @@ TEST(AutogradGradients, MatMulRight) {
   Matrix a = RandomMatrix(4, 3, 8);
   CheckGradient(
       [&a](const Var& x) {
-        return SumSquares(MatMul(Var(a), x));
+        return SquaredNorm(MatMul(Var(a), x));
       },
       RandomMatrix(3, 2, 2));
 }
@@ -128,17 +141,17 @@ TEST(AutogradGradients, Spmm) {
   auto s = std::make_shared<const SparseMatrix>(SparseMatrix::FromTriplets(
       3, 3, {{0, 1, 2.0}, {1, 0, -1.0}, {2, 2, 0.5}, {0, 0, 1.0}}));
   CheckGradient(
-      [&s](const Var& x) { return SumSquares(Spmm(s, x)); },
+      [&s](const Var& x) { return SquaredNorm(Spmm(s, x)); },
       RandomMatrix(3, 2, 3));
 }
 
-TEST(AutogradGradients, AddSubMul) {
+TEST(AutogradGradients, Add) {
   Matrix other = RandomMatrix(3, 3, 9);
   CheckGradient(
-      [&other](const Var& x) {
-        Var o(other);
-        return SumSquares(Mul(Add(x, o), Sub(x, o)));
-      },
+      [&other](const Var& x) { return SquaredNorm(Add(x, Var(other))); },
+      RandomMatrix(3, 3, 4));
+  CheckGradient(
+      [&other](const Var& x) { return SquaredNorm(Add(Var(other), x)); },
       RandomMatrix(3, 3, 4));
 }
 
@@ -146,7 +159,7 @@ TEST(AutogradGradients, ScaleAndBias) {
   Matrix bias = RandomMatrix(1, 3, 10);
   CheckGradient(
       [&bias](const Var& x) {
-        return SumSquares(AddRowBroadcast(Scale(x, -1.7), Var(bias)));
+        return SquaredNorm(AddRowBroadcast(Scale(x, -1.7), Var(bias)));
       },
       RandomMatrix(4, 3, 5));
 }
@@ -155,23 +168,23 @@ TEST(AutogradGradients, BiasItself) {
   Matrix a = RandomMatrix(4, 3, 11);
   CheckGradient(
       [&a](const Var& b) {
-        return SumSquares(AddRowBroadcast(Var(a), b));
+        return SquaredNorm(AddRowBroadcast(Var(a), b));
       },
       RandomMatrix(1, 3, 6));
 }
 
 TEST(AutogradGradients, Relu) {
-  CheckGradient([](const Var& x) { return SumSquares(Relu(x)); },
+  CheckGradient([](const Var& x) { return SquaredNorm(Relu(x)); },
                 RandomMatrix(3, 4, 12));
 }
 
 TEST(AutogradGradients, Sigmoid) {
-  CheckGradient([](const Var& x) { return SumSquares(Sigmoid(x)); },
+  CheckGradient([](const Var& x) { return SquaredNorm(Sigmoid(x)); },
                 RandomMatrix(3, 3, 13));
 }
 
 TEST(AutogradGradients, MeanAllAndSumAll) {
-  CheckGradient([](const Var& x) { return MeanAll(Mul(x, x)); },
+  CheckGradient([](const Var& x) { return MeanAll(Sigmoid(x)); },
                 RandomMatrix(3, 5, 18));
 }
 
@@ -185,7 +198,7 @@ TEST(AutogradGradients, MseLoss) {
 TEST(AutogradGradients, GatherRowsWithDuplicates) {
   CheckGradient(
       [](const Var& x) {
-        return SumSquares(GatherRows(x, {0, 2, 2, 1}));
+        return SquaredNorm(GatherRows(x, {0, 2, 2, 1}));
       },
       RandomMatrix(3, 3, 24));
 }
@@ -194,12 +207,12 @@ TEST(AutogradGradients, ConcatColsBothSides) {
   Matrix other = RandomMatrix(3, 2, 28);
   CheckGradient(
       [&other](const Var& x) {
-        return SumSquares(ConcatCols(x, Var(other)));
+        return SquaredNorm(ConcatCols(x, Var(other)));
       },
       RandomMatrix(3, 2, 29));
   CheckGradient(
       [&other](const Var& x) {
-        return SumSquares(ConcatCols(Var(other), x));
+        return SquaredNorm(ConcatCols(Var(other), x));
       },
       RandomMatrix(3, 4, 30));
 }
@@ -209,7 +222,7 @@ TEST(AutogradGradients, PairInnerProduct) {
       std::vector<std::pair<int, int>>{{0, 1}, {1, 2}, {0, 3}, {2, 2}});
   CheckGradient(
       [&pairs](const Var& z) {
-        return SumSquares(Sigmoid(PairInnerProduct(z, pairs)));
+        return SquaredNorm(Sigmoid(PairInnerProduct(z, pairs)));
       },
       RandomMatrix(4, 3, 32));
 }
@@ -251,20 +264,21 @@ TEST(AutogradGradients, ComposedGcnLikeNetwork) {
       [&](const Var& w) {
         Var h = Relu(Spmm(s, MatMul(Var(x), w)));
         Var pooled = Spmm(pool, h);
-        return SumSquares(pooled);
+        return SquaredNorm(pooled);
       },
       RandomMatrix(3, 2, 36), 2e-4);
 }
 
-// Property sweep: SumSquares gradient == 2x for random shapes.
-class SumSquaresParamTest
+// Property sweep: SquaredNorm gradient == 2x for random shapes (each row's
+// self-pair feeds both halves of PairInnerProduct's backward).
+class SquaredNormParamTest
     : public ::testing::TestWithParam<std::pair<int, int>> {};
 
-TEST_P(SumSquaresParamTest, GradientIsTwiceInput) {
+TEST_P(SquaredNormParamTest, GradientIsTwiceInput) {
   const auto [r, c] = GetParam();
   Matrix m = RandomMatrix(r, c, 100 + r * 13 + c);
   Var v(m, true);
-  SumSquares(v).Backward();
+  SquaredNorm(v).Backward();
   for (int i = 0; i < r; ++i) {
     for (int j = 0; j < c; ++j) {
       EXPECT_NEAR(v.grad()(i, j), 2.0 * m(i, j), 1e-12);
@@ -273,7 +287,7 @@ TEST_P(SumSquaresParamTest, GradientIsTwiceInput) {
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Shapes, SumSquaresParamTest,
+    Shapes, SquaredNormParamTest,
     ::testing::Values(std::make_pair(1, 1), std::make_pair(1, 7),
                       std::make_pair(5, 1), std::make_pair(3, 4),
                       std::make_pair(8, 8)));

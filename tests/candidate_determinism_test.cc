@@ -182,14 +182,6 @@ TEST(CandidateDeterminismTest, SteadyStateSamplingIsWorkspaceAllocFree) {
   EXPECT_EQ(TraversalWorkspace::TotalHeapAllocs(), before);
 }
 
-TEST(CandidateDeterminismTest, TrimWorkspacesRewarmsCleanly) {
-  const Fixture f = MakeFixture();
-  GroupSampler sampler{GroupSamplerOptions{}};
-  const auto want = sampler.Sample(f.dataset.graph, f.anchors);
-  GroupSampler::TrimWorkspaces();
-  EXPECT_EQ(sampler.Sample(f.dataset.graph, f.anchors), want);
-}
-
 TEST(CandidateDeterminismTest, BatchFromGroupsMatchesInducedBatch) {
   const Fixture f = MakeFixture();
   std::vector<std::vector<int>> groups = f.dataset.anomaly_groups;

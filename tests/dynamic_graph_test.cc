@@ -1,5 +1,6 @@
 // DynamicGraph: slack-CSR mutation semantics, the immutable read contract
-// (sorted rows, Edges()-order streaming), delta log + compaction, and the
+// (sorted rows, ForEachEdge-order streaming), delta log + compaction, the
+// wire form of a mutation, and the
 // canonical-PackedView equivalence against a from-scratch GraphBuilder
 // rebuild under randomized churn.
 #include "src/graph/dynamic_graph.h"
@@ -14,13 +15,14 @@
 #include "src/graph/algorithms.h"
 #include "src/util/rng.h"
 #include "tests/kernel_test_util.h"
+#include "tests/reference/reference_graph.h"
 
 namespace grgad {
 namespace {
 
-Graph TriangleWithTail() {
-  // 0-1-2 triangle, 2-3 tail.
-  GraphBuilder b(4);
+Graph TriangleWithTail(int num_nodes = 4) {
+  // 0-1-2 triangle, 2-3 tail; nodes past 3 are isolated.
+  GraphBuilder b(num_nodes);
   b.AddEdge(0, 1);
   b.AddEdge(1, 2);
   b.AddEdge(2, 0);
@@ -47,7 +49,7 @@ Graph RandomGraph(int n, int extra_edges, uint64_t seed) {
 Graph Rebuild(const DynamicGraph& dg) {
   GraphBuilder b(dg.num_nodes());
   dg.ForEachEdge([&b](int u, int v) { b.AddEdge(u, v); });
-  return b.Build(dg.attributes());
+  return b.Build(dg.PackedView().attributes());
 }
 
 /// Field-level equality of two graphs (offsets/rows/attrs), via the public
@@ -108,49 +110,12 @@ TEST(DynamicGraphTest, AddAndRemoveEdges) {
 }
 
 TEST(DynamicGraphTest, SlackOverflowRegrows) {
-  // A star center accumulates edges far beyond its initial slack.
-  Graph base = TriangleWithTail();
-  DynamicGraph dg(base);
-  // Grow the node set, then fan edges into node 0.
-  for (int i = 0; i < 30; ++i) dg.AddNode({});
+  // A star center accumulates edges far beyond its initial slack: fan
+  // edges from node 0 into the 30 isolated nodes.
+  DynamicGraph dg(TriangleWithTail(/*num_nodes=*/34));
   for (int v = 4; v < 34; ++v) EXPECT_TRUE(dg.AddEdge(0, v));
   EXPECT_EQ(dg.Degree(0), 32);
   EXPECT_GE(dg.stats().regrows, 1u);
-  EXPECT_TRUE(dg.Validate().ok());
-  ExpectSameGraph(dg.PackedView(), Rebuild(dg));
-}
-
-TEST(DynamicGraphTest, AddNodeCarriesAttributes) {
-  Graph base = RandomGraph(10, 5, 1);
-  DynamicGraph dg(base);
-  const std::vector<double> attrs = {1.5, -2.0, 0.25, 7.0};
-  const int id = dg.AddNode(attrs);
-  EXPECT_EQ(id, 10);
-  EXPECT_EQ(dg.num_nodes(), 11);
-  EXPECT_EQ(dg.Degree(id), 0);
-  ASSERT_EQ(dg.attributes().rows(), 11u);
-  for (size_t j = 0; j < 4; ++j) {
-    EXPECT_EQ(dg.attributes()(10, j), attrs[j]);
-  }
-  // Old rows survive bit for bit.
-  for (int v = 0; v < 10; ++v) {
-    for (size_t j = 0; j < 4; ++j) {
-      EXPECT_EQ(dg.attributes()(v, j), base.attributes()(v, j));
-    }
-  }
-  EXPECT_TRUE(dg.AddEdge(id, 3));
-  EXPECT_TRUE(dg.Validate().ok());
-  ExpectSameGraph(dg.PackedView(), Rebuild(dg));
-}
-
-TEST(DynamicGraphTest, RemoveNodeDetachesButKeepsId) {
-  DynamicGraph dg(TriangleWithTail());
-  EXPECT_TRUE(dg.RemoveNode(2));
-  EXPECT_EQ(dg.Degree(2), 0);
-  EXPECT_EQ(dg.num_nodes(), 4);  // Id survives as an isolated node.
-  EXPECT_EQ(dg.num_edges(), 1);  // Only 0-1 remains.
-  EXPECT_FALSE(dg.RemoveNode(2));   // Already isolated.
-  EXPECT_FALSE(dg.RemoveNode(99));  // Out of range.
   EXPECT_TRUE(dg.Validate().ok());
   ExpectSameGraph(dg.PackedView(), Rebuild(dg));
 }
@@ -169,7 +134,7 @@ TEST(DynamicGraphTest, ForEachEdgeMatchesPackedEdgesOrder) {
   }
   std::vector<std::pair<int, int>> streamed;
   dg.ForEachEdge([&](int u, int v) { streamed.emplace_back(u, v); });
-  EXPECT_EQ(streamed, dg.PackedView().Edges());
+  EXPECT_EQ(streamed, reference::EdgeList(dg.PackedView()));
   EXPECT_EQ(static_cast<int>(streamed.size()), dg.num_edges());
 }
 
@@ -199,6 +164,27 @@ TEST(DynamicGraphTest, DeltaLogRecordsNormalizedMutations) {
   EXPECT_EQ(dg.DeltaLog()[1].v, 2);
 }
 
+TEST(GraphMutationWireTest, RoundTripsEdgeKindsAndRejectsTheRest) {
+  for (const GraphMutation& m :
+       {GraphMutation{GraphMutation::Kind::kAddEdge, 3, 17},
+        GraphMutation{GraphMutation::Kind::kRemoveEdge, 0, 2147483647}}) {
+    const std::string wire = FormatGraphMutation(m);
+    GraphMutation back;
+    ASSERT_TRUE(ParseGraphMutation(wire, &back)) << wire;
+    EXPECT_EQ(back.kind, m.kind);
+    EXPECT_EQ(back.u, m.u);
+    EXPECT_EQ(back.v, m.v);
+  }
+  EXPECT_EQ(FormatGraphMutation({GraphMutation::Kind::kRemoveEdge, 1, 2}),
+            "remove-edge 1 2");
+  GraphMutation out;
+  for (const char* bad :
+       {"add-node 3 -1", "remove-node 3 -1", "add-edge 1 2 3", "add-edge 1",
+        "add-edge 1 x", "add-edge 1 2x", "add-edge 1 4294967296", ""}) {
+    EXPECT_FALSE(ParseGraphMutation(bad, &out)) << bad;
+  }
+}
+
 TEST(DynamicGraphTest, RandomizedChurnMatchesRebuild) {
   const int n = 60;
   DynamicGraph dg(RandomGraph(n, 80, 4));
@@ -210,11 +196,9 @@ TEST(DynamicGraphTest, RandomizedChurnMatchesRebuild) {
     if (roll < 0.45) {
       const bool expect = u != v && !dg.HasEdge(u, v);
       EXPECT_EQ(dg.AddEdge(u, v), expect);
-    } else if (roll < 0.9) {
+    } else if (roll < 0.95) {
       const bool expect = dg.HasEdge(u, v);
       EXPECT_EQ(dg.RemoveEdge(u, v), expect);
-    } else if (roll < 0.95) {
-      dg.RemoveNode(u);
     } else {
       dg.Compact();
     }

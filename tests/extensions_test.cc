@@ -139,7 +139,7 @@ class EcodInvarianceTest : public ::testing::TestWithParam<int> {};
 TEST_P(EcodInvarianceTest, AffineTransformInvariance) {
   Rng rng(100 + GetParam());
   Matrix x = Matrix::Gaussian(50, 3, &rng);
-  Matrix y = x.Map([](double v) { return 2.5 * v - 7.0; });
+  Matrix y = x.MapFn([](double v) { return 2.5 * v - 7.0; });
   Ecod ecod;
   const auto sx = ecod.FitScore(x);
   const auto sy = ecod.FitScore(y);
@@ -172,8 +172,9 @@ using PreconditionDeathTest = ::testing::Test;
 TEST(PreconditionDeathTest, MatrixShapeMismatchAborts) {
   GTEST_FLAG_SET(death_test_style, "threadsafe");
   Matrix a(2, 2), b(3, 2);
-  EXPECT_DEATH(a += b, "CHECK failed");
-  EXPECT_DEATH(MatMul(a, Matrix(3, 1)), "CHECK failed");
+  EXPECT_DEATH(a.AddInPlace(b), "CHECK failed");
+  Matrix out(2, 1);
+  EXPECT_DEATH(MatMulInto(a, Matrix(3, 1), &out), "CHECK failed");
 }
 
 TEST(PreconditionDeathTest, GraphBuilderRejectsOutOfRange) {

@@ -116,10 +116,10 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(AnchorTest, SelectsTopFraction) {
   const std::vector<double> scores = {0.1, 0.9, 0.5, 0.95, 0.2};
-  const auto anchors = SelectAnchors(scores, 0.4);
+  const auto anchors = SelectAnchorsCapped(scores, 0.4, 5);
   EXPECT_EQ(anchors, (std::vector<int>{1, 3}));
-  EXPECT_TRUE(SelectAnchors(scores, 0.0).empty());
-  EXPECT_EQ(SelectAnchors(scores, 1.0).size(), 5u);
+  EXPECT_TRUE(SelectAnchorsCapped(scores, 0.0, 5).empty());
+  EXPECT_EQ(SelectAnchorsCapped(scores, 1.0, 5).size(), 5u);
 }
 
 TEST(AnchorTest, CapBounds) {
@@ -133,7 +133,7 @@ TEST(AnchorTest, CapBounds) {
 
 TEST(AnchorTest, TieBreakByNodeId) {
   const std::vector<double> scores = {0.5, 0.5, 0.5, 0.5};
-  const auto anchors = SelectAnchors(scores, 0.5);
+  const auto anchors = SelectAnchorsCapped(scores, 0.5, 4);
   EXPECT_EQ(anchors, (std::vector<int>{0, 1}));
 }
 

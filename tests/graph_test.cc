@@ -2,7 +2,13 @@
 // mapping composition, and Validate().
 #include "src/graph/graph.h"
 
+#include <algorithm>
+#include <utility>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "tests/kernel_test_util.h"
 
 namespace grgad {
 namespace {
@@ -55,22 +61,24 @@ TEST(GraphTest, NeighborsSortedAndSymmetric) {
   EXPECT_TRUE(g.Validate().ok());
 }
 
-TEST(GraphTest, EdgesListsEachOnce) {
+TEST(GraphTest, ForEachEdgeVisitsEachOnceInOrder) {
   Graph g = TriangleWithTail();
-  const auto edges = g.Edges();
+  std::vector<std::pair<int, int>> edges;
+  g.ForEachEdge([&edges](int u, int v) { edges.emplace_back(u, v); });
   EXPECT_EQ(edges.size(), 4u);
   for (const auto& [u, v] : edges) EXPECT_LT(u, v);
+  EXPECT_TRUE(std::is_sorted(edges.begin(), edges.end()));
 }
 
 TEST(GraphTest, AttributesAttachAndValidate) {
   GraphBuilder b(2);
   b.AddEdge(0, 1);
-  Matrix x = Matrix::FromRows({{1.0, 2.0}, {3.0, 4.0}});
+  Matrix x = testing::FromRows({{1.0, 2.0}, {3.0, 4.0}});
   Graph g = b.Build(x);
   EXPECT_TRUE(g.has_attributes());
   EXPECT_EQ(g.attr_dim(), 2u);
   EXPECT_DOUBLE_EQ(g.attributes()(1, 0), 3.0);
-  Matrix y = Matrix::FromRows({{9.0, 9.0}, {8.0, 8.0}});
+  Matrix y = testing::FromRows({{9.0, 9.0}, {8.0, 8.0}});
   g.SetAttributes(y);
   EXPECT_DOUBLE_EQ(g.attributes()(0, 0), 9.0);
   EXPECT_TRUE(g.Validate().ok());

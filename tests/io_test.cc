@@ -1,10 +1,13 @@
 // Dataset serialization round-trips and malformed-input handling.
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <fstream>
 
 #include "src/data/io.h"
 #include "src/data/registry.h"
+#include "tests/kernel_test_util.h"
+#include "tests/reference/reference_graph.h"
 
 namespace grgad {
 namespace {
@@ -30,7 +33,7 @@ TEST(IoTest, EdgeListRoundTrip) {
   auto loaded = LoadEdgeList(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().num_nodes(), 5);
-  EXPECT_EQ(loaded.value().Edges(), g.Edges());
+  EXPECT_EQ(reference::EdgeList(loaded.value()), reference::EdgeList(g));
 }
 
 TEST(IoTest, EdgeListExplicitNodeCount) {
@@ -45,13 +48,18 @@ TEST(IoTest, EdgeListExplicitNodeCount) {
 TEST(IoTest, EdgeListRejectsGarbage) {
   WriteFileOrDie(TempPath("bad.edges"), "0 x\n");
   EXPECT_FALSE(LoadEdgeList(TempPath("bad.edges")).ok());
+  // A partial or trailing token is damage, not the edge before it.
+  WriteFileOrDie(TempPath("frac.edges"), "0 1.5\n");
+  EXPECT_FALSE(LoadEdgeList(TempPath("frac.edges")).ok());
+  WriteFileOrDie(TempPath("extra.edges"), "1 2 junk\n");
+  EXPECT_FALSE(LoadEdgeList(TempPath("extra.edges")).ok());
   WriteFileOrDie(TempPath("neg.edges"), "-1 2\n");
   EXPECT_FALSE(LoadEdgeList(TempPath("neg.edges")).ok());
   EXPECT_FALSE(LoadEdgeList("/no/such/file.edges").ok());
 }
 
 TEST(IoTest, AttributesRoundTrip) {
-  Matrix x = Matrix::FromRows({{1.5, -2.0}, {0.0, 3.25}});
+  Matrix x = testing::FromRows({{1.5, -2.0}, {0.0, 3.25}});
   const std::string path = TempPath("attrs.csv");
   ASSERT_TRUE(SaveAttributes(x, path).ok());
   auto loaded = LoadAttributes(path);
@@ -97,6 +105,54 @@ TEST(IoTest, GroupsRejectBadLines) {
                           &patterns).ok());
 }
 
+TEST(IoTest, GroupsRejectNonIntegerIds) {
+  // Parsing must not stop at the bad token and keep the group {1}.
+  std::vector<std::vector<int>> groups;
+  std::vector<TopologyPattern> patterns;
+  WriteFileOrDie(TempPath("badid.groups"), "path: 1 x 3\n");
+  const Status status =
+      LoadGroups(TempPath("badid.groups"), &groups, &patterns);
+  EXPECT_EQ(status.code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find("path: 1 x 3"), std::string::npos)
+      << status.ToString();
+}
+
+/// Writes a 4-node chain dataset under `prefix`: .edges, .groups, and
+/// .attrs when `attrs` is non-null.
+void WriteChainDataset(const std::string& prefix, const char* groups,
+                       const char* attrs) {
+  WriteFileOrDie(prefix + ".edges", "0 1\n1 2\n2 3\n");
+  WriteFileOrDie(prefix + ".groups", groups);
+  std::filesystem::remove(prefix + ".attrs");
+  if (attrs != nullptr) WriteFileOrDie(prefix + ".attrs", attrs);
+}
+
+TEST(IoTest, DatasetWithoutAttrsLoadsUnattributed) {
+  const std::string prefix = TempPath("chain_noattrs");
+  WriteChainDataset(prefix, "path: 0 1 2\n", nullptr);
+  auto loaded = LoadDataset(prefix, "chain");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_FALSE(loaded.value().graph.has_attributes());
+}
+
+TEST(IoTest, DatasetWithMalformedAttrsIsAnError) {
+  // The .attrs file exists but does not parse: that is an error, not "no
+  // attributes".
+  const std::string prefix = TempPath("chain_badattrs");
+  WriteChainDataset(prefix, "path: 0 1 2\n", "1,2\nx,3\n1,1\n2,2\n");
+  auto loaded = LoadDataset(prefix, "chain");
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(IoTest, DatasetRejectsGroupIdsOutsideTheGraph) {
+  const std::string prefix = TempPath("chain_badgroup");
+  WriteChainDataset(prefix, "cycle: 2 99\n", "1,2\n3,4\n5,6\n7,8\n");
+  auto loaded = LoadDataset(prefix, "chain");
+  EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded.status().message().find("99"), std::string::npos)
+      << loaded.status().ToString();
+}
+
 TEST(IoTest, FullDatasetRoundTrip) {
   DatasetOptions options;
   options.scale = 0.1;
@@ -108,7 +164,8 @@ TEST(IoTest, FullDatasetRoundTrip) {
   auto loaded = LoadDataset(prefix, "simml");
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded.value().graph.num_nodes(), gen.value().graph.num_nodes());
-  EXPECT_EQ(loaded.value().graph.Edges(), gen.value().graph.Edges());
+  EXPECT_EQ(reference::EdgeList(loaded.value().graph),
+            reference::EdgeList(gen.value().graph));
   EXPECT_TRUE(loaded.value().graph.attributes().ApproxEquals(
       gen.value().graph.attributes(), 1e-8));
   EXPECT_EQ(loaded.value().anomaly_groups, gen.value().anomaly_groups);

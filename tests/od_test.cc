@@ -128,42 +128,27 @@ TEST(EcodTest, ConstantColumnIsHarmless) {
   for (double s : scores) EXPECT_TRUE(std::isfinite(s));
 }
 
-TEST(KnnTest, PairwiseDistancesSymmetricZeroDiag) {
-  Rng rng(1);
-  Matrix x = Matrix::Gaussian(10, 3, &rng);
-  Matrix d = PairwiseDistances(x);
-  for (int i = 0; i < 10; ++i) {
-    EXPECT_DOUBLE_EQ(d(i, i), 0.0);
-    for (int j = 0; j < 10; ++j) EXPECT_DOUBLE_EQ(d(i, j), d(j, i));
-  }
-}
-
 TEST(KnnTest, NeighborsSortedByDistance) {
   Matrix x(4, 1);
   x(0, 0) = 0.0;
   x(1, 0) = 1.0;
   x(2, 0) = 3.0;
   x(3, 0) = 10.0;
-  const auto nn = KNearestNeighbors(x, 2);
-  EXPECT_EQ(nn[0], (std::vector<int>{1, 2}));
-  EXPECT_EQ(nn[3], (std::vector<int>{2, 1}));
+  const NeighborIndex nn = BuildNeighborIndex(x, 2);
+  EXPECT_EQ(nn.Neighbor(0, 0), 1);
+  EXPECT_EQ(nn.Neighbor(0, 1), 2);
+  EXPECT_EQ(nn.Neighbor(3, 0), 2);
+  EXPECT_EQ(nn.Neighbor(3, 1), 1);
+  EXPECT_DOUBLE_EQ(nn.Distance(3, 0), 7.0);
 }
 
 TEST(KnnTest, KClampedToNMinusOne) {
   Matrix x(3, 1);
   x(1, 0) = 1.0;
   x(2, 0) = 2.0;
-  const auto nn = KNearestNeighbors(x, 99);
-  EXPECT_EQ(nn[0].size(), 2u);
+  EXPECT_EQ(BuildNeighborIndex(x, 99).k, 2);
   KnnDetector det(99);
   EXPECT_EQ(det.FitScore(x).size(), 3u);
-  // Seed behavior: k <= 0 selects nothing (both overloads).
-  const auto none = KNearestNeighbors(x, 0);
-  ASSERT_EQ(none.size(), 3u);
-  for (const auto& row : none) EXPECT_TRUE(row.empty());
-  const auto none_d = KNearestNeighborsFromDistances(PairwiseDistances(x), 0);
-  ASSERT_EQ(none_d.size(), 3u);
-  for (const auto& row : none_d) EXPECT_TRUE(row.empty());
 }
 
 TEST(LofTest, InliersScoreNearOne) {

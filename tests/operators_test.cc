@@ -7,6 +7,7 @@
 #include "src/graph/algorithms.h"
 #include "src/graph/graphsnn.h"
 #include "src/graph/operators.h"
+#include "tests/reference/reference_graph.h"
 
 namespace grgad {
 namespace {
@@ -170,7 +171,7 @@ TEST(GraphSnnTest, TriangleEdgesWeighMoreThanBridges) {
   b.AddEdge(2, 0);
   b.AddEdge(2, 3);
   Graph g = b.Build();
-  const auto edges = g.Edges();
+  const auto edges = reference::EdgeList(g);
   const auto w = GraphSnnEdgeWeights(g, 1.0);
   double triangle_min = 1e9, bridge = -1;
   for (size_t e = 0; e < edges.size(); ++e) {

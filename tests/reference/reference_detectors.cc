@@ -8,6 +8,7 @@
 
 #include "src/util/check.h"
 #include "src/util/rng.h"
+#include "tests/reference/reference_graph.h"
 
 namespace grgad::reference {
 
@@ -298,7 +299,7 @@ int EdgesWithin(const Graph& g, const std::vector<int>& nodes) {
 }  // namespace
 
 std::vector<double> GraphSnnEdgeWeights(const Graph& g, double lambda) {
-  const auto edges = g.Edges();
+  const auto edges = EdgeList(g);
   std::vector<double> weights(edges.size(), 0.0);
   for (size_t e = 0; e < edges.size(); ++e) {
     const auto [u, v] = edges[e];

@@ -147,33 +147,16 @@ TEST(DirtyTrackerTest, ChainBallMarksOnlyNearbyAnchors) {
   EXPECT_TRUE(tracker.TakeDirtyIndices().empty());
 }
 
-TEST(DirtyTrackerTest, NodeBallAndMarkAll) {
+TEST(DirtyTrackerTest, MarkAll) {
   const Graph g = ChainGraph(40);
   const std::vector<int> anchors = {0, 10, 20, 30};
   AnchorDirtyTracker tracker;
   tracker.Reset(anchors, /*radius=*/3, g.num_nodes());
 
-  // Ball of radius 3 around node 9 covers 6..12: anchor 10 only.
-  EXPECT_EQ(tracker.MarkFromNode(g, 9), 1);
-  EXPECT_EQ(tracker.TakeDirtyIndices(), (std::vector<int>{1}));
-
   tracker.MarkAll();
   EXPECT_TRUE(tracker.all_dirty());
   EXPECT_EQ(tracker.TakeDirtyIndices(), (std::vector<int>{0, 1, 2, 3}));
   EXPECT_FALSE(tracker.all_dirty());
-}
-
-TEST(DirtyTrackerTest, TraversesNodesAddedAfterReset) {
-  const Graph g = ChainGraph(12);
-  AnchorDirtyTracker tracker;
-  tracker.Reset({0, 11}, /*radius=*/2, g.num_nodes());
-
-  DynamicGraph dg(g);
-  const int fresh = dg.AddNode({});
-  ASSERT_TRUE(dg.AddEdge(10, fresh));
-  // Ball around the new node reaches 10, 11, 12(+itself): anchor 11.
-  EXPECT_EQ(tracker.MarkFromEdge(dg, 10, fresh), 1);
-  EXPECT_EQ(tracker.TakeDirtyIndices(), (std::vector<int>{1}));
 }
 
 // ---- golden: incremental == from-scratch, bitwise ---------------------------
@@ -271,7 +254,7 @@ std::string MutationLine(int64_t id, bool add, int u, int v) {
 Graph Rebuild(const DynamicGraph& dg) {
   GraphBuilder b(dg.num_nodes());
   dg.ForEachEdge([&b](int u, int v) { b.AddEdge(u, v); });
-  return b.Build(dg.attributes());
+  return b.Build(dg.PackedView().attributes());
 }
 
 void ExpectSameArtifacts(const PipelineArtifacts& a,

@@ -68,7 +68,6 @@ TEST(RunContextTest, SnapshotStaysConsistentWhileRecording) {
     for (const StageTiming& t : ctx.stage_timings()) {
       ASSERT_EQ(t.stage, "w");
     }
-    (void)ctx.TotalSeconds();
   }
   writer.join();
   EXPECT_EQ(ctx.stage_timings().size(), static_cast<size_t>(4 * kIters));

@@ -3,8 +3,6 @@
 // plus determinism of the parallel/cached kernels vs the serial references.
 #include "src/tensor/sparse.h"
 
-#include <cstring>
-
 #include <gtest/gtest.h>
 
 #include "tests/reference/reference_kernels.h"
@@ -14,6 +12,41 @@
 
 namespace grgad {
 namespace {
+
+using ::grgad::testing::BitwiseEqual;
+using ::grgad::testing::Product;
+using ::grgad::testing::ScopedDegree;
+
+/// Dense copy of `s` (the oracle side of the dense comparisons).
+Matrix Dense(const SparseMatrix& s) {
+  Matrix out(s.rows(), s.cols());
+  for (size_t i = 0; i < s.rows(); ++i) {
+    const auto cols = s.RowCols(i);
+    const auto values = s.RowValues(i);
+    for (size_t p = 0; p < cols.size(); ++p) out(i, cols[p]) += values[p];
+  }
+  return out;
+}
+
+/// s * x into a fresh output.
+Matrix Spmm(const SparseMatrix& s, const Matrix& x) {
+  Matrix out(s.rows(), x.cols());
+  s.SpmmInto(x, &out);
+  return out;
+}
+
+/// s^T * x into a fresh output.
+Matrix SpmmTransposeThis(const SparseMatrix& s, const Matrix& x) {
+  Matrix out(s.cols(), x.cols());
+  s.SpmmTransposeThisInto(x, &out);
+  return out;
+}
+
+Matrix Scaled(const Matrix& m, double factor) {
+  Matrix out(m.rows(), m.cols());
+  ScaledInto(m, factor, &out);
+  return out;
+}
 
 SparseMatrix RandomSparse(size_t rows, size_t cols, int nnz, uint64_t seed) {
   Rng rng(seed);
@@ -49,52 +82,51 @@ TEST(SparseTest, FromTripletsSortsAndDedups) {
 TEST(SparseTest, IdentitySpmm) {
   Rng rng(5);
   Matrix x = Matrix::Gaussian(4, 3, &rng);
-  EXPECT_TRUE(SparseMatrix::Identity(4).Spmm(x).ApproxEquals(x, 1e-12));
+  const SparseMatrix eye = SparseMatrix::FromTriplets(
+      4, 4, {{0, 0, 1.0}, {1, 1, 1.0}, {2, 2, 1.0}, {3, 3, 1.0}});
+  EXPECT_TRUE(Spmm(eye, x).ApproxEquals(x, 1e-12));
 }
 
 TEST(SparseTest, SpmmMatchesDense) {
   SparseMatrix s = RandomSparse(8, 6, 20, 6);
   Rng rng(7);
   Matrix x = Matrix::Gaussian(6, 5, &rng);
-  EXPECT_TRUE(s.Spmm(x).ApproxEquals(MatMul(s.ToDense(), x), 1e-10));
+  EXPECT_TRUE(Spmm(s, x).ApproxEquals(Product(Dense(s), x), 1e-10));
 }
 
 TEST(SparseTest, SpmmTransposeMatchesDense) {
   SparseMatrix s = RandomSparse(8, 6, 20, 8);
   Rng rng(9);
   Matrix x = Matrix::Gaussian(8, 4, &rng);
-  EXPECT_TRUE(s.SpmmTransposeThis(x).ApproxEquals(
-      MatMul(s.ToDense().Transpose(), x), 1e-10));
+  EXPECT_TRUE(SpmmTransposeThis(s, x).ApproxEquals(
+      Product(Dense(s).Transpose(), x), 1e-10));
 }
 
 TEST(SparseTest, TransposeMatchesDense) {
   SparseMatrix s = RandomSparse(5, 9, 15, 10);
-  EXPECT_TRUE(
-      s.Transpose().ToDense().ApproxEquals(s.ToDense().Transpose(), 1e-12));
+  EXPECT_TRUE(Dense(s.Transpose()).ApproxEquals(Dense(s).Transpose(), 1e-12));
 }
 
-TEST(SparseTest, SpmmIntoMatchesSpmmBitwise) {
+TEST(SparseTest, SpmmIntoOverwritesStaleOutput) {
   SparseMatrix s = RandomSparse(12, 9, 30, 11);
   Rng rng(13);
   Matrix x = Matrix::Gaussian(9, 5, &rng);
   Matrix out(12, 5, /*fill=*/9.0);  // Stale contents must not leak through.
   s.SpmmInto(x, &out);
-  const Matrix expected = s.Spmm(x);
-  EXPECT_EQ(std::memcmp(out.data(), expected.data(),
-                        expected.size() * sizeof(double)),
-            0);
+  EXPECT_TRUE(BitwiseEqual(out, reference::Spmm(s, x)));
 }
 
-TEST(SparseTest, SpmmTransposeThisIntoMatchesBitwise) {
+TEST(SparseTest, SpmmTransposeThisIntoOverwritesStaleOutput) {
   SparseMatrix s = RandomSparse(12, 9, 30, 12);
   Rng rng(14);
   Matrix x = Matrix::Gaussian(12, 5, &rng);
-  Matrix out(9, 5, /*fill=*/9.0);
-  s.SpmmTransposeThisInto(x, &out);
-  const Matrix expected = s.SpmmTransposeThis(x);
-  EXPECT_EQ(std::memcmp(out.data(), expected.data(),
-                        expected.size() * sizeof(double)),
-            0);
+  for (int threads : {1, 4}) {  // The scatter and the gather kernel.
+    ScopedDegree degree(threads);
+    Matrix out(9, 5, /*fill=*/9.0);
+    s.SpmmTransposeThisInto(x, &out);
+    EXPECT_TRUE(BitwiseEqual(out, reference::SpmmTransposeThis(s, x)))
+        << threads << " threads";
+  }
 }
 
 TEST(SparseTest, RowSums) {
@@ -137,8 +169,8 @@ TEST(SparseTest, ApproxEqualsHandlesExplicitZeros) {
 TEST(SparseTest, MatMulSparseMatchesDense) {
   SparseMatrix a = RandomSparse(6, 5, 12, 11);
   SparseMatrix b = RandomSparse(5, 7, 14, 12);
-  Matrix expected = MatMul(a.ToDense(), b.ToDense());
-  EXPECT_TRUE(MatMulSparse(a, b).ToDense().ApproxEquals(expected, 1e-10));
+  Matrix expected = Product(Dense(a), Dense(b));
+  EXPECT_TRUE(Dense(MatMulSparse(a, b)).ApproxEquals(expected, 1e-10));
 }
 
 TEST(SparseTest, MatMulSparsePrunes) {
@@ -147,9 +179,6 @@ TEST(SparseTest, MatMulSparsePrunes) {
   EXPECT_EQ(MatMulSparse(a, b, 1e-6).nnz(), 0u);
   EXPECT_EQ(MatMulSparse(a, b, 0.0).nnz(), 1u);
 }
-
-using ::grgad::testing::BitwiseEqual;
-using ::grgad::testing::ScopedDegree;
 
 TEST(SparseTest, SpmmKernelsMatchSerialReferenceBitwise) {
   SparseMatrix s = RandomSparse(60, 45, 300, 21);
@@ -163,11 +192,11 @@ TEST(SparseTest, SpmmKernelsMatchSerialReferenceBitwise) {
     // Both the serial scatter path (degree 1) and the cached-transpose
     // gather path (degree > 1) accumulate every output element's terms in
     // ascending source-row order: agreement is bitwise, not approximate.
-    EXPECT_TRUE(BitwiseEqual(s.Spmm(x), ref_fwd)) << threads << " threads";
-    EXPECT_TRUE(BitwiseEqual(s.SpmmTransposeThis(xt), ref_bwd))
+    EXPECT_TRUE(BitwiseEqual(Spmm(s, x), ref_fwd)) << threads << " threads";
+    EXPECT_TRUE(BitwiseEqual(SpmmTransposeThis(s, xt), ref_bwd))
         << threads << " threads";
     // Repeated calls (now served by the transpose cache) stay stable.
-    EXPECT_TRUE(BitwiseEqual(s.SpmmTransposeThis(xt), ref_bwd))
+    EXPECT_TRUE(BitwiseEqual(SpmmTransposeThis(s, xt), ref_bwd))
         << threads << " threads, cached";
   }
 }
@@ -177,17 +206,19 @@ TEST(SparseTest, TransposeCacheSurvivesCopiesCorrectly) {
   SparseMatrix s = RandomSparse(30, 40, 150, 23);
   Rng rng(24);
   Matrix x = Matrix::Gaussian(30, 8, &rng);
-  Matrix base = s.SpmmTransposeThis(x);  // Populates s's transpose cache.
+  // Populates s's transpose cache.
+  Matrix base = SpmmTransposeThis(s, x);
   // A value-scaled copy must not inherit the stale cached transpose.
   SparseMatrix doubled = s.Scaled(2.0);
-  EXPECT_TRUE(doubled.SpmmTransposeThis(x).ApproxEquals(base * 2.0, 1e-12));
-  SparseMatrix assigned;
-  assigned = s;
-  SparseMatrix halved = assigned.Scaled(0.5);
-  EXPECT_TRUE(halved.SpmmTransposeThis(x).ApproxEquals(base * 0.5, 1e-12));
+  EXPECT_TRUE(
+      SpmmTransposeThis(doubled, x).ApproxEquals(Scaled(base, 2.0), 1e-12));
+  SparseMatrix copied(s);
+  SparseMatrix halved = copied.Scaled(0.5);
+  EXPECT_TRUE(
+      SpmmTransposeThis(halved, x).ApproxEquals(Scaled(base, 0.5), 1e-12));
   // Moves may keep the cache: results must be identical before/after.
-  SparseMatrix moved = std::move(assigned);
-  EXPECT_TRUE(BitwiseEqual(moved.SpmmTransposeThis(x), base));
+  SparseMatrix moved = std::move(copied);
+  EXPECT_TRUE(BitwiseEqual(SpmmTransposeThis(moved, x), base));
 }
 
 TEST(SparseTest, TransposeTwiceRoundTrips) {
@@ -212,8 +243,8 @@ TEST(SparseTest, MatMulSparseHandlesTransientCancellation) {
   SparseMatrix product = MatMulSparse(a, b);
   EXPECT_EQ(product.nnz(), 1u);
   EXPECT_DOUBLE_EQ(product.At(0, 0), 1.0);
-  EXPECT_TRUE(product.ToDense().ApproxEquals(
-      MatMul(a.ToDense(), b.ToDense()), 1e-12));
+  EXPECT_TRUE(
+      Dense(product).ApproxEquals(Product(Dense(a), Dense(b)), 1e-12));
 }
 
 // Property: (A B)^T == B^T A^T for sparse products.

@@ -25,6 +25,7 @@
 #include "src/nn/optim.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
+#include "tests/kernel_test_util.h"
 
 namespace grgad {
 namespace {
@@ -287,9 +288,9 @@ TEST(TrainingDeterminismTest, BiasReluFusedMatchesUnfusedBitwise) {
     Var bias(bias_init, /*requires_grad=*/true);
     Var out = fused ? BiasReluFused(a, bias)
                     : Relu(AddRowBroadcast(a, bias));
-    // Reduce with fixed upstream weights so every output element's
-    // gradient is exercised with a distinct value.
-    Var loss = SumAll(Mul(out, Var(upstream)));
+    // Reduce against fixed targets so every output element's gradient is
+    // exercised with a distinct value.
+    Var loss = MseLoss(out, upstream);
     loss.Backward();
     *ga = a.grad();
     *gb = bias.grad();
@@ -311,7 +312,7 @@ TEST(TrainingDeterminismTest, BiasReluFusedMatchesUnfusedBitwise) {
 }
 
 TEST(TrainingDeterminismTest, AddScalarForwardAndGradient) {
-  Var a(Matrix::FromRows({{1.0, -2.0}, {0.5, 3.0}}), /*requires_grad=*/true);
+  Var a(testing::FromRows({{1.0, -2.0}, {0.5, 3.0}}), /*requires_grad=*/true);
   Var out = AddScalar(a, 2.5);
   EXPECT_DOUBLE_EQ(out.value()(0, 0), 3.5);
   EXPECT_DOUBLE_EQ(out.value()(0, 1), 0.5);

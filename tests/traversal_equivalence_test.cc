@@ -1,14 +1,15 @@
 // Equivalence contract of the candidate-stage primitives (PERF.md,
 // "Candidate stage"):
-//   - every workspace-backed traversal (BFS distances, BFS tree, Dijkstra
-//     over adjacency-slot costs, Bellman–Ford, connected components,
-//     subset components, cycle DFS) is element-for-element identical to
-//     the allocating seed implementation on random graphs, including when
-//     one workspace is reused across many traversals;
+//   - every workspace-backed traversal (BFS tree, Dijkstra over
+//     adjacency-slot costs, Bellman–Ford, subset components, cycle DFS) is
+//     element-for-element identical to the allocating seed implementation
+//     (the template next to it, or tests/reference/reference_graph.h) on
+//     random graphs, including when one workspace is reused across many
+//     traversals;
 //   - a SubgraphView exposes exactly the graph Graph::InducedSubgraph
-//     materializes (ids, CSR rows, edge enumeration), and pattern search,
-//     classification, and every augmentation produce identical output on
-//     either representation under a fixed RNG;
+//     materializes (ids, CSR rows, edge enumeration), and pattern search
+//     and every augmentation produce identical output on a view of the
+//     group and on the materialized copy under a fixed RNG;
 //   - pooled workspaces are allocation-free at steady state.
 #include <cmath>
 #include <set>
@@ -24,6 +25,7 @@
 #include "src/sampling/pattern_search.h"
 #include "src/util/rng.h"
 #include "tests/kernel_test_util.h"
+#include "tests/reference/reference_graph.h"
 
 namespace grgad {
 namespace {
@@ -72,30 +74,19 @@ std::vector<double> SlotCosts(const Graph& g) {
   return costs;
 }
 
-TEST(ForEachEdgeTest, MatchesEdgesOrder) {
+TEST(ForEachEdgeTest, MatchesNeighborRows) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     const Graph g = RandomGraph(60, 90, seed);
-    const auto edges = g.Edges();
+    std::vector<std::pair<int, int>> edges;
+    for (int u = 0; u < g.num_nodes(); ++u) {
+      for (int v : g.Neighbors(u)) {
+        if (u < v) edges.emplace_back(u, v);
+      }
+    }
     std::vector<std::pair<int, int>> streamed;
     g.ForEachEdge([&](int u, int v) { streamed.emplace_back(u, v); });
     EXPECT_EQ(streamed, edges);
     EXPECT_EQ(g.num_adj_slots(), 2 * g.num_edges());
-  }
-}
-
-TEST(TraversalEquivalenceTest, BfsDistances) {
-  TraversalWorkspace ws;
-  for (uint64_t seed : {11u, 12u, 13u}) {
-    const Graph g = RandomGraph(120, 60, seed);
-    for (int max_depth : {-1, 0, 2, 5}) {
-      for (int src : {0, 7, 59, 119}) {
-        const std::vector<int> want = BfsDistances(g, src, max_depth);
-        BfsDistances(g, src, max_depth, &ws);
-        for (int v = 0; v < g.num_nodes(); ++v) {
-          ASSERT_EQ(ws.Hop(v), want[v]) << "src=" << src << " v=" << v;
-        }
-      }
-    }
   }
 }
 
@@ -130,7 +121,8 @@ TEST(TraversalEquivalenceTest, DijkstraSlotCosts) {
       for (int src : {0, 44, 89}) {
         std::vector<double> want_dist;
         std::vector<int> want_parent;
-        Dijkstra(g, src, cost_fn, &want_dist, &want_parent, max_cost);
+        reference::Dijkstra(g, src, cost_fn, &want_dist, &want_parent,
+                            max_cost);
         Dijkstra(g, src, slot_costs, max_cost, &ws);
         for (int v = 0; v < g.num_nodes(); ++v) {
           ASSERT_EQ(ws.Dist(v), want_dist[v]) << "src=" << src << " v=" << v;
@@ -151,8 +143,8 @@ TEST(TraversalEquivalenceTest, BellmanFord) {
     for (int src : {0, 35, 69}) {
       std::vector<double> want_dist;
       std::vector<int> want_parent;
-      const bool want_ok = BellmanFord(g, src, weights, &want_dist,
-                                       &want_parent);
+      const bool want_ok = reference::BellmanFord(g, src, weights, &want_dist,
+                                                  &want_parent);
       const bool got_ok = BellmanFord(g, src, weights, &ws);
       ASSERT_EQ(got_ok, want_ok);
       for (int v = 0; v < g.num_nodes(); ++v) {
@@ -172,7 +164,7 @@ TEST(TraversalEquivalenceTest, BellmanFordNegativeCycle) {
   const std::vector<double> weights = {-1.0, -1.0, -1.0};
   std::vector<double> dist;
   std::vector<int> parent;
-  EXPECT_FALSE(BellmanFord(g, 0, weights, &dist, &parent));
+  EXPECT_FALSE(reference::BellmanFord(g, 0, weights, &dist, &parent));
   TraversalWorkspace ws;
   EXPECT_FALSE(BellmanFord(g, 0, weights, &ws));
 }
@@ -234,7 +226,7 @@ TEST(SubgraphViewTest, MatchesInducedSubgraph) {
       }
       std::vector<std::pair<int, int>> streamed;
       view.ForEachEdge([&](int u, int v) { streamed.emplace_back(u, v); });
-      EXPECT_EQ(streamed, induced.Edges());
+      EXPECT_EQ(streamed, reference::EdgeList(induced));
       // Attribute rows alias the host rows of the mapped ids.
       for (int v = 0; v < view.num_nodes(); ++v) {
         const double* got_row = view.AttrRow(v);
@@ -242,15 +234,11 @@ TEST(SubgraphViewTest, MatchesInducedSubgraph) {
           ASSERT_EQ(got_row[j], induced.attributes()(v, j));
         }
       }
-      // Materialize round-trips to the same graph.
-      const Graph mat = view.Materialize();
-      EXPECT_EQ(mat.Edges(), induced.Edges());
-      EXPECT_TRUE(BitwiseEqual(mat.attributes(), induced.attributes()));
     }
   }
 }
 
-TEST(SubgraphViewTest, PatternsAndClassificationMatchInduced) {
+TEST(SubgraphViewTest, PatternsMatchInduced) {
   for (uint64_t seed : {91u, 92u, 93u}) {
     const Graph g = RandomGraph(80, 50, seed);
     Rng pick(seed);
@@ -266,7 +254,6 @@ TEST(SubgraphViewTest, PatternsAndClassificationMatchInduced) {
       EXPECT_EQ(got.trees, want.trees);
       EXPECT_EQ(got.paths, want.paths);
       EXPECT_EQ(got.cycles, want.cycles);
-      EXPECT_EQ(ClassifyGroupPattern(view), ClassifyGroupPattern(induced));
     }
   }
 }
@@ -289,7 +276,8 @@ TEST(SubgraphViewTest, AugmentMatchesInducedUnderFixedRng) {
       const Graph want = Augment(induced, kind, patterns, &rng_a);
       const Graph got = Augment(view, kind, patterns, &rng_b);
       ASSERT_EQ(got.num_nodes(), want.num_nodes()) << ToString(kind);
-      EXPECT_EQ(got.Edges(), want.Edges()) << ToString(kind);
+      EXPECT_EQ(reference::EdgeList(got), reference::EdgeList(want))
+          << ToString(kind);
       EXPECT_TRUE(BitwiseEqual(got.attributes(), want.attributes()))
           << ToString(kind);
       // The two forms must also have consumed the same rng stream.
@@ -320,9 +308,11 @@ TEST(WorkspaceTest, ReuseAcrossTraversalsStaysCorrect) {
   for (int round = 0; round < 5; ++round) {
     const Graph& g = (round % 2 == 0) ? g1 : g2;
     const int src = round * 7 % g.num_nodes();
-    const std::vector<int> want_bfs = BfsDistances(g, src, -1);
-    BfsDistances(g, src, -1, &ws);
-    for (int v = 0; v < g.num_nodes(); ++v) ASSERT_EQ(ws.Hop(v), want_bfs[v]);
+    const BfsTree want_bfs = BuildBfsTree(g, src, -1);
+    BuildBfsTree(g, src, -1, &ws);
+    for (int v = 0; v < g.num_nodes(); ++v) {
+      ASSERT_EQ(ws.Hop(v), want_bfs.depth[v]);
+    }
     const auto want_cycles = CyclesThrough(g, src, 6, 8, 5000);
     const auto got_cycles = CyclesThrough(g, src, 6, 8, 5000, &ws);
     ASSERT_EQ(got_cycles.size(), want_cycles.size());

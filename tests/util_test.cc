@@ -340,25 +340,25 @@ TEST(TokenScannerTest, DoubleBitsRoundTripIsExact) {
   for (double v : cases) {
     const std::string wire = FormatDoubleBits(v);
     ASSERT_EQ(wire.size(), 16u) << v;
-    double back = 0.0;
+    // The wire form IS the bit pattern, read back as one Hex64 token.
+    uint64_t bits = 0;
     TokenScanner in(wire);
-    ASSERT_TRUE(in.F64Bits(&back)) << wire;
-    uint64_t vbits = 0, bbits = 0;
+    ASSERT_TRUE(in.Hex64(&bits)) << wire;
+    uint64_t vbits = 0;
     std::memcpy(&vbits, &v, sizeof vbits);
-    std::memcpy(&bbits, &back, sizeof bbits);
-    EXPECT_EQ(vbits, bbits) << wire;  // Bitwise, so -0.0 and NaN-safe.
+    EXPECT_EQ(vbits, bits) << wire;  // Bitwise, so -0.0 and NaN-safe.
   }
 }
 
-TEST(TokenScannerTest, DoubleBitsRejectsWrongWidthAndNonHex) {
-  double d = 0.0;
-  EXPECT_FALSE(TokenScanner(std::string_view("3ff")).F64Bits(&d));
+TEST(TokenScannerTest, Hex64RejectsWrongWidthAndNonHex) {
+  uint64_t bits = 0;
+  EXPECT_FALSE(TokenScanner(std::string_view("3ff")).Hex64(&bits));
   EXPECT_FALSE(
-      TokenScanner(std::string_view("3fg0000000000000")).F64Bits(&d));
+      TokenScanner(std::string_view("3fg0000000000000")).Hex64(&bits));
   EXPECT_FALSE(
-      TokenScanner(std::string_view("3ff00000000000001")).F64Bits(&d));
-  EXPECT_TRUE(TokenScanner(std::string_view("3FF0000000000000")).F64Bits(&d));
-  EXPECT_EQ(d, 1.0);  // Upper-case hex decodes too.
+      TokenScanner(std::string_view("3ff00000000000001")).Hex64(&bits));
+  EXPECT_TRUE(TokenScanner(std::string_view("3FF0000000000000")).Hex64(&bits));
+  EXPECT_EQ(bits, 0x3ff0000000000000u);  // Upper-case hex decodes too.
 }
 
 TEST(TimerTest, MeasuresElapsed) {

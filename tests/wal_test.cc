@@ -33,6 +33,7 @@
 #include "src/serve/request.h"
 #include "src/serve/server.h"
 #include "src/serve/wal.h"
+#include "src/util/atomic_io.h"
 #include "src/util/status.h"
 
 namespace grgad {
@@ -232,6 +233,24 @@ TEST(WalTest, MidFileCorruptionTruncatesEverythingAfterIt) {
   bytes[bytes.find("mutation", record2)] = 'X';
   Spit(path, bytes);
   ExpectTornTail(path, 1, 3);
+}
+
+TEST(WalTest, NodeMutationRecordIsAnUnparseablePayload) {
+  // Mutations are edge-only: no grgad version ever wrote a node mutation
+  // (serve admits only add-edge and remove-edge). A well-framed record of
+  // one, checksum and all, is an unparseable payload and handled like any
+  // other: it and everything after it are dropped with a DataLoss note.
+  const fs::path dir = TempDir("node_kind");
+  const fs::path path = dir / "wal.log";
+  std::string bytes = BuildWalFile(path, 2);
+  auto frame = [](uint64_t seq, const std::string& payload) {
+    return std::to_string(seq) + " " + std::to_string(payload.size()) + " " +
+           HexU64(Fnv1a64(payload)) + " " + payload + "\n";
+  };
+  bytes += frame(3, "mutation add-node 3 -1");
+  bytes += frame(4, "mutation add-edge 5 105");
+  Spit(path, bytes);
+  ExpectTornTail(path, 2, 2);
 }
 
 TEST(WalTest, ResetToStartsAnEmptyLogAtTheNewBase) {
