@@ -66,15 +66,23 @@ Status SaveAttributes(const Matrix& x, const std::string& path) {
   return Status::Ok();
 }
 
+namespace {
+
+/// The status for a file that failed to open: NotFound when it does not
+/// exist (the optional dataset files), IoError for anything else.
+Status OpenFailure(const std::string& path) {
+  std::error_code ec;
+  if (!std::filesystem::exists(path, ec) && !ec) {
+    return Status::NotFound("no such file: " + path);
+  }
+  return Status::IoError("cannot open: " + path);
+}
+
+}  // namespace
+
 Result<Matrix> LoadAttributes(const std::string& path) {
   std::ifstream f(path);
-  if (!f.is_open()) {
-    std::error_code ec;
-    if (!std::filesystem::exists(path, ec) && !ec) {
-      return Status::NotFound("no such file: " + path);
-    }
-    return Status::IoError("cannot open: " + path);
-  }
+  if (!f.is_open()) return OpenFailure(path);
   std::vector<std::vector<double>> rows;
   std::string line;
   while (std::getline(f, line)) {
@@ -132,10 +140,10 @@ Status LoadGroups(const std::string& path,
                   std::vector<std::vector<int>>* groups,
                   std::vector<TopologyPattern>* patterns) {
   GRGAD_CHECK(groups != nullptr && patterns != nullptr);
-  std::ifstream f(path);
-  if (!f.is_open()) return Status::IoError("cannot open: " + path);
   groups->clear();
   patterns->clear();
+  std::ifstream f(path);
+  if (!f.is_open()) return OpenFailure(path);
   std::string line;
   while (std::getline(f, line)) {
     if (line.empty() || line[0] == '#') continue;
@@ -195,10 +203,11 @@ Result<Dataset> LoadDataset(const std::string& prefix,
     }
     out.graph.SetAttributes(std::move(attrs.value()));
   }
+  // Labeled groups are optional too: a missing .groups file means none.
   const Status s =
       LoadGroups(prefix + ".groups", &out.anomaly_groups,
                  &out.group_patterns);
-  if (!s.ok()) return s;
+  if (!s.ok() && s.code() != StatusCode::kNotFound) return s;
   for (const std::vector<int>& group : out.anomaly_groups) {
     for (int v : group) {
       if (v < 0 || v >= out.graph.num_nodes()) {

@@ -29,7 +29,8 @@ Result<Matrix> LoadAttributes(const std::string& path);
 Status SaveGroups(const Dataset& dataset, const std::string& path);
 
 /// Parses the SaveGroups format into (groups, patterns); InvalidArgument
-/// naming the line for any token that is not an integer node id.
+/// naming the line for any token that is not an integer node id, NotFound
+/// (with both outputs cleared) when `path` does not exist.
 Status LoadGroups(const std::string& path,
                   std::vector<std::vector<int>>* groups,
                   std::vector<TopologyPattern>* patterns);
@@ -38,8 +39,8 @@ Status LoadGroups(const std::string& path,
 Status SaveDataset(const Dataset& dataset, const std::string& prefix);
 
 /// Loads a dataset saved by SaveDataset. A missing .attrs file means no
-/// attributes; a malformed one, or a group id outside the graph, is an
-/// error.
+/// attributes and a missing .groups file no labeled groups; a malformed
+/// one, or a group id outside the graph, is an error.
 Result<Dataset> LoadDataset(const std::string& prefix,
                             const std::string& name);
 

@@ -175,17 +175,21 @@ TpgclResult Tpgcl::FitEmbed(
     positives.push_back(Augment(view, options_.positive_aug, patterns, &rng));
     negatives.push_back(Augment(view, options_.negative_aug, patterns, &rng));
   }
-  const GraphBatch orig_batch = BuildGraphBatchFromGroups(host, groups);
-  const GraphBatch pos_batch = BuildGraphBatch(positives);
-  const GraphBatch neg_batch = BuildGraphBatch(negatives);
+  GraphBatch orig_batch = BuildGraphBatchFromGroups(host, groups);
+  GraphBatch pos_batch = BuildGraphBatch(positives);
+  GraphBatch neg_batch = BuildGraphBatch(negatives);
+  // The input leaves are built once: the tape reads them every epoch, and
+  // no epoch copies the view attributes.
+  const Var orig_x(std::move(orig_batch.x));
+  const Var pos_x(std::move(pos_batch.x));
+  const Var neg_x(std::move(neg_batch.x));
 
   // --- Shared encoder f_theta and statistic Φ. ---
   GcnLayer enc1(d, options_.hidden_dim, &rng);
   GcnLayer enc2(options_.hidden_dim, options_.embed_dim, &rng);
   MineEstimator phi(options_.embed_dim, options_.mine_hidden, &rng);
 
-  auto encode = [&](const GraphBatch& batch) {
-    Var x(batch.x, /*requires_grad=*/false);
+  auto encode = [&](const GraphBatch& batch, const Var& x) {
     Var h = Relu(enc1.Forward(batch.op, x));
     Var node_embed = enc2.Forward(batch.op, h);
     return Spmm(batch.pool, node_embed);  // m x embed readout.
@@ -196,15 +200,15 @@ TpgclResult Tpgcl::FitEmbed(
       {enc1.Params(), enc2.Params(), phi.Params()}, options_.epochs,
       options_.lr, /*weight_decay=*/0.0,
       [&](int) {
-        Var z_pos = encode(pos_batch);
-        Var z_neg = encode(neg_batch);
+        Var z_pos = encode(pos_batch, pos_x);
+        Var z_neg = encode(neg_batch, neg_x);
         return MineLoss(phi, z_pos, z_neg, options_.neg_per_sample, &rng);
       },
       &result.loss_history);
   if (!trained) return result;
 
   // Final embeddings of the *original* candidate groups.
-  result.embeddings = encode(orig_batch).value();
+  result.embeddings = encode(orig_batch, orig_x).value();
   GRGAD_LOG(kDebug) << "TPGCL trained on " << m << " groups, final loss="
                     << (result.loss_history.empty()
                             ? 0.0

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
 #include <unordered_set>
 
 #include "src/tensor/arena.h"
@@ -250,14 +249,6 @@ Var Scale(const Var& a, double s) {
   });
 }
 
-Var AddScalar(const Var& a, double s) {
-  Matrix out = AcquireUninit(a.rows(), a.cols());
-  a.value().MapToFn(&out, [s](double v) { return v + s; });
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a},
-                    [an](const Matrix& g) { Acc(an, g); });
-}
-
 Var AddRowBroadcast(const Var& a, const Var& bias) {
   GRGAD_CHECK_EQ(bias.rows(), 1u);
   GRGAD_CHECK_EQ(a.cols(), bias.cols());
@@ -333,25 +324,6 @@ Var Sigmoid(const Var& a) {
   return AutogradOps::Wrap(std::move(n));
 }
 
-Var SumAll(const Var& a) {
-  Matrix out = AcquireUninit(1, 1);
-  out(0, 0) = a.value().Sum();
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a}, [an](const Matrix& g) {
-    if (!an->requires_grad) return;
-    Matrix gg = AcquireUninit(an->value.rows(), an->value.cols());
-    gg.Fill(g(0, 0));
-    an->AccumulateGrad(std::move(gg));
-    ReleaseScratch(std::move(gg));
-  });
-}
-
-Var MeanAll(const Var& a) {
-  const double n = static_cast<double>(a.value().size());
-  GRGAD_CHECK_GT(n, 0.0);
-  return Scale(SumAll(a), 1.0 / n);
-}
-
 Var MseLoss(const Var& pred, const Matrix& target) {
   GRGAD_CHECK(pred.rows() == target.rows() && pred.cols() == target.cols());
   const Matrix& p = pred.value();
@@ -379,58 +351,6 @@ Var MseLoss(const Var& pred, const Matrix& target) {
     pn->AccumulateGrad(std::move(gg));
     ReleaseScratch(std::move(gg));
   });
-}
-
-Var GatherRows(const Var& a, std::vector<int> rows) {
-  Matrix out = AcquireUninit(rows.size(), a.cols());
-  a.value().GatherRowsInto(rows, &out);
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a},
-                    [an, rows = std::move(rows)](const Matrix& g) {
-                      if (!an->requires_grad) return;
-                      Matrix gg =
-                          AcquireZeroed(an->value.rows(), an->value.cols());
-                      for (size_t i = 0; i < rows.size(); ++i) {
-                        double* dst = gg.RowPtr(rows[i]);
-                        const double* src = g.RowPtr(i);
-                        for (size_t j = 0; j < g.cols(); ++j) dst[j] += src[j];
-                      }
-                      an->AccumulateGrad(std::move(gg));
-                      ReleaseScratch(std::move(gg));
-                    });
-}
-
-Var ConcatCols(const Var& a, const Var& b) {
-  GRGAD_CHECK_EQ(a.rows(), b.rows());
-  const size_t r = a.rows(), ca = a.cols(), cb = b.cols();
-  Matrix out = AcquireUninit(r, ca + cb);
-  for (size_t i = 0; i < r; ++i) {
-    std::memcpy(out.RowPtr(i), a.value().RowPtr(i), ca * sizeof(double));
-    std::memcpy(out.RowPtr(i) + ca, b.value().RowPtr(i), cb * sizeof(double));
-  }
-  auto an = AutogradOps::node(a);
-  auto bn = AutogradOps::node(b);
-  return MakeOpNode(std::move(out), {a, b},
-                    [an, bn, r, ca, cb](const Matrix& g) {
-                      if (an->requires_grad) {
-                        Matrix ga = AcquireUninit(r, ca);
-                        for (size_t i = 0; i < r; ++i) {
-                          std::memcpy(ga.RowPtr(i), g.RowPtr(i),
-                                      ca * sizeof(double));
-                        }
-                        an->AccumulateGrad(std::move(ga));
-                        ReleaseScratch(std::move(ga));
-                      }
-                      if (bn->requires_grad) {
-                        Matrix gb = AcquireUninit(r, cb);
-                        for (size_t i = 0; i < r; ++i) {
-                          std::memcpy(gb.RowPtr(i), g.RowPtr(i) + ca,
-                                      cb * sizeof(double));
-                        }
-                        bn->AccumulateGrad(std::move(gb));
-                        ReleaseScratch(std::move(gb));
-                      }
-                    });
 }
 
 using PairList = std::vector<std::pair<int, int>>;
@@ -470,37 +390,6 @@ Var PairInnerProduct(const Var& z, std::shared_ptr<const PairList> pairs) {
                         }
                       }
                       zn->AccumulateGrad(std::move(gg));
-                      ReleaseScratch(std::move(gg));
-                    });
-}
-
-Var MaskedLogSumExp(const Var& a, const std::vector<uint8_t>& mask) {
-  const Matrix& x = a.value();
-  GRGAD_CHECK_EQ(mask.size(), x.size());
-  double max_v = -HUGE_VAL;
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (mask[i]) max_v = std::max(max_v, x.data()[i]);
-  }
-  GRGAD_CHECK(max_v > -HUGE_VAL);  // At least one masked-in entry.
-  double sum_e = 0.0;
-  for (size_t i = 0; i < x.size(); ++i) {
-    if (mask[i]) sum_e += std::exp(x.data()[i] - max_v);
-  }
-  Matrix out = AcquireUninit(1, 1);
-  out(0, 0) = max_v + std::log(sum_e);
-  auto an = AutogradOps::node(a);
-  return MakeOpNode(std::move(out), {a},
-                    [an, mask, max_v, sum_e](const Matrix& g) {
-                      if (!an->requires_grad) return;
-                      const Matrix& x = an->value;
-                      Matrix gg = AcquireZeroed(x.rows(), x.cols());
-                      const double gv = g(0, 0);
-                      for (size_t i = 0; i < x.size(); ++i) {
-                        if (!mask[i]) continue;
-                        gg.data()[i] =
-                            gv * std::exp(x.data()[i] - max_v) / sum_e;
-                      }
-                      an->AccumulateGrad(std::move(gg));
                       ReleaseScratch(std::move(gg));
                     });
 }

@@ -7,10 +7,12 @@
 //
 // The op set is what the paper's models call: GCN layers
 // (Spmm/MatMul/AddRowBroadcast/Relu), autoencoder losses
-// (Sigmoid/MseLoss/PairInnerProduct over sampled pairs), the MINE objective
-// of Eqn. (8) (GatherRows/ConcatCols/MeanAll/MaskedLogSumExp/AddScalar), and
-// Add/Scale to combine losses. Every op's gradient is validated against
-// finite differences in tests/autograd_test.cc.
+// (Sigmoid/MseLoss/PairInnerProduct over sampled pairs), and Add/Scale to
+// combine losses. Fused model-specific nodes are built on NewInteriorNode
+// where they are used: BiasReluFused (src/nn/layers.cc) and the MINE
+// objective of Eqn. (8) (MineLoss, src/gcl/mine.cc). Every op's gradient
+// is validated against finite differences, in tests/autograd_test.cc and,
+// for MineLoss, tests/gcl_test.cc.
 #ifndef GRGAD_NN_AUTOGRAD_H_
 #define GRGAD_NN_AUTOGRAD_H_
 
@@ -71,7 +73,7 @@ struct VarNode {
 /// parents, and parent links are recorded only when it is set. The caller
 /// attaches backward_fn afterwards (this is what lets closures capture the
 /// node's own pointer, e.g. to read the op output in backward without
-/// copying it). Exposed so layers.cc can define fused ops.
+/// copying it). Exposed so layers.cc and mine.cc can define fused ops.
 std::shared_ptr<VarNode> NewInteriorNode(Matrix value,
                                          const std::vector<Var>& parents);
 
@@ -150,8 +152,6 @@ Var Spmm(std::shared_ptr<const SparseMatrix> s, const Var& x);
 Var Add(const Var& a, const Var& b);
 /// a * scalar.
 Var Scale(const Var& a, double s);
-/// a + scalar, elementwise (gradient passes through unchanged).
-Var AddScalar(const Var& a, double s);
 /// Adds the 1 x cols row vector `bias` to every row of a.
 Var AddRowBroadcast(const Var& a, const Var& bias);
 
@@ -159,11 +159,6 @@ Var AddRowBroadcast(const Var& a, const Var& bias);
 Var Relu(const Var& a);
 /// Elementwise logistic sigmoid.
 Var Sigmoid(const Var& a);
-
-/// Sum of all entries -> 1x1.
-Var SumAll(const Var& a);
-/// Mean of all entries -> 1x1.
-Var MeanAll(const Var& a);
 
 /// Mean squared error against a constant target -> 1x1. `target` is
 /// captured by reference and must outlive Backward() (training loops hold
@@ -173,22 +168,12 @@ Var MeanAll(const Var& a);
 Var MseLoss(const Var& pred, const Matrix& target);
 Var MseLoss(const Var& pred, Matrix&& target) = delete;
 
-/// Gathers rows (duplicates allowed); backward scatter-adds.
-Var GatherRows(const Var& a, std::vector<int> rows);
-
-/// Horizontal concatenation [a | b]; row counts must match.
-Var ConcatCols(const Var& a, const Var& b);
-
 /// out_p = dot(z[i_p], z[j_p]) for each pair -> p x 1. The inner-product
 /// structure decoder of GAE, evaluated only on sampled pairs. The pair list
 /// is shared, not copied, so an epoch loop builds it once.
 Var PairInnerProduct(
     const Var& z,
     std::shared_ptr<const std::vector<std::pair<int, int>>> pairs);
-
-/// log(sum over entries with mask != 0 of exp(a_ij)) -> 1x1, computed
-/// stably. At least one entry must be masked in.
-Var MaskedLogSumExp(const Var& a, const std::vector<uint8_t>& mask);
 
 }  // namespace grgad
 

@@ -117,12 +117,6 @@ void TransposeInto(const Matrix& a, Matrix* out) {
 
 void Matrix::Fill(double v) { std::fill(data_.begin(), data_.end(), v); }
 
-double Matrix::Sum() const {
-  double s = 0.0;
-  for (double v : data_) s += v;
-  return s;
-}
-
 double Matrix::FrobeniusNorm() const {
   double s = 0.0;
   for (double v : data_) s += v * v;

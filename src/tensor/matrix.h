@@ -121,8 +121,6 @@ class Matrix {
   /// Fills all entries with `v`.
   void Fill(double v);
 
-  /// Sum over all entries.
-  double Sum() const;
   /// sqrt(sum of squares).
   double FrobeniusNorm() const;
 

@@ -10,10 +10,12 @@
 
 #include "src/data/example_graph.h"
 #include "src/gae/gae_base.h"
+#include "src/gcl/tpgcl.h"
 #include "src/nn/autograd.h"
 #include "src/nn/optim.h"
 #include "src/tensor/matrix.h"
 #include "tests/kernel_test_util.h"
+#include "tests/reference/reference_autograd.h"
 
 namespace grgad {
 namespace {
@@ -117,7 +119,7 @@ TEST(ArenaScopeTest, TapeTeardownReturnsEveryBuffer) {
     Var w(testing::FromRows({{0.5, -0.25}, {1.0, 2.0}}),
           /*requires_grad=*/true);
     Var x(testing::FromRows({{1.0, 2.0}, {3.0, 4.0}}));
-    Var loss = MeanAll(Relu(MatMul(x, w)));
+    Var loss = reference::MeanAll(Relu(MatMul(x, w)));
     loss.Backward();
     EXPECT_GT(arena.outstanding(), 0);
   }
@@ -136,7 +138,7 @@ TEST(ArenaScopeTest, SecondEpochIsHeapAllocationFree) {
   Adam adam({w});
   auto epoch = [&] {
     adam.ZeroGrad();
-    Var loss = MeanAll(Relu(MatMul(x, w)));
+    Var loss = reference::MeanAll(Relu(MatMul(x, w)));
     loss.Backward();
     adam.Step();
   };
@@ -197,6 +199,44 @@ TEST(ArenaTrainingTest, SecondFitIsHeapAllocationFree) {
       << "a structurally identical fit on a warm arena must be served "
          "entirely from the free lists";
   EXPECT_GT(arena.stats().reused, 0u);
+}
+
+
+// A TPGCL fit's arena holds as many bytes and free buffers after 2 epochs
+// as after N: the session's tape is the same every epoch, and no epoch
+// leaves a buffer behind (an input leaf copied per epoch would park one
+// more attribute matrix per view batch on the free lists each epoch). Fits
+// of different lengths are compared on fresh arenas; everything but the
+// epoch count is identical, down to the final encode.
+TEST(ArenaTrainingTest, TpgclArenaIsConstantFromTheSecondEpoch) {
+  DatasetOptions data_options;
+  data_options.seed = 11;
+  const Dataset d = GenExampleGraph(data_options);
+  std::vector<std::vector<int>> candidates = d.anomaly_groups;
+  for (int i = 0; i + 6 < d.graph.num_nodes() && candidates.size() < 16;
+       i += 5) {
+    candidates.push_back({i, i + 1, i + 2, i + 3, i + 4, i + 5});
+  }
+  auto fit = [&](int epochs) {
+    MatrixArena arena;
+    TpgclOptions options;
+    options.epochs = epochs;
+    options.hidden_dim = 16;
+    options.embed_dim = 8;
+    options.mine_hidden = 8;
+    options.neg_per_sample = 4;
+    options.arena = &arena;
+    const TpgclResult result = Tpgcl(options).FitEmbed(d.graph, candidates);
+    EXPECT_EQ(result.loss_history.size(), static_cast<size_t>(epochs));
+    return std::make_pair(arena.stats().heap_bytes, arena.free_buffers());
+  };
+  const auto at2 = fit(2);
+  EXPECT_GT(at2.first, 0u);
+  for (int epochs : {3, 6}) {
+    const auto at_n = fit(epochs);
+    EXPECT_EQ(at_n.first, at2.first) << "heap_bytes after " << epochs;
+    EXPECT_EQ(at_n.second, at2.second) << "free_buffers after " << epochs;
+  }
 }
 
 }  // namespace

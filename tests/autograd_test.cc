@@ -12,9 +12,18 @@
 
 #include "src/util/rng.h"
 #include "tests/kernel_test_util.h"
+#include "tests/reference/reference_autograd.h"
 
 namespace grgad {
 namespace {
+
+// Generic ops the product no longer calls; their oracles live in
+// tests/reference/reference_autograd.h.
+using reference::ConcatCols;
+using reference::GatherRows;
+using reference::MaskedLogSumExp;
+using reference::MeanAll;
+using reference::SumAll;
 
 /// Central-difference gradient of scalar_fn w.r.t. entry (i, j) of `at`.
 double NumericalGrad(const std::function<double(const Matrix&)>& scalar_fn,

@@ -3,6 +3,7 @@
 // separation of anomalous candidate groups.
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -15,7 +16,10 @@
 #include "src/metrics/classification.h"
 #include "src/metrics/completeness.h"
 #include "src/sampling/pattern_search.h"
+#include "src/util/thread_pool.h"
 #include "src/viz/tsne.h"
+#include "tests/kernel_test_util.h"
+#include "tests/reference/reference_autograd.h"
 
 namespace grgad {
 namespace {
@@ -222,6 +226,159 @@ TEST(MineTest, SubsampledMatchesFullOnAverage) {
     acc += MineLoss(phi, Var(zp), Var(zn), 4, &r2).item();
   }
   EXPECT_NEAR(acc / reps, full, 0.35);
+}
+
+// The fused critic's inputs and parameters, in one list:
+// {z_pos, z_neg, W_a, W_b, b1, W2, b2}.
+struct MineFixture {
+  MineFixture(int m, int d, int h, uint64_t seed) : rng(seed), phi(d, h, &rng) {
+    z_pos = Var(Matrix::Gaussian(m, d, &rng), /*requires_grad=*/true);
+    z_neg = Var(Matrix::Gaussian(m, d, &rng), /*requires_grad=*/true);
+    // Nonzero biases, so the gradient checks see them shift the ReLU mask.
+    std::vector<Var> params = phi.Params();
+    params[2].mutable_value() = Matrix::Gaussian(1, h, &rng);
+    params[4].mutable_value()(0, 0) = 0.3;
+  }
+  std::vector<Var> Leaves() const {
+    std::vector<Var> out = {z_pos, z_neg};
+    for (const Var& p : phi.Params()) out.push_back(p);
+    return out;
+  }
+  /// The loss with the negatives of `draw_seed`.
+  Var Loss(int k, uint64_t draw_seed) const {
+    Rng draws(draw_seed);
+    return MineLoss(phi, z_pos, z_neg, k, &draws);
+  }
+  /// Loss and the gradient of every leaf.
+  double LossAndGrads(int k, uint64_t draw_seed, std::vector<Matrix>* grads) {
+    for (Var& v : Leaves()) v.ZeroGrad();
+    Var loss = Loss(k, draw_seed);
+    loss.Backward();
+    grads->clear();
+    for (const Var& v : Leaves()) grads->push_back(v.grad());
+    return loss.item();
+  }
+
+  Rng rng;
+  MineEstimator phi;
+  Var z_pos, z_neg;
+};
+
+double MaxAbs(const Matrix& a) {
+  double out = 0.0;
+  for (size_t i = 0; i < a.size(); ++i) {
+    out = std::max(out, std::abs(a.data()[i]));
+  }
+  return out;
+}
+
+// Central differences of the fused loss against its hand-written backward,
+// for every leaf, at a subsampled and at the exact double sum.
+TEST(MineTest, FusedGradientsMatchFiniteDifferences) {
+  constexpr int kM = 7;
+  for (int k : {3, kM - 1}) {
+    MineFixture f(kM, 3, 5, 21);
+    std::vector<Matrix> grads;
+    f.LossAndGrads(k, 77, &grads);
+    const std::vector<Var> leaves = f.Leaves();
+    for (size_t l = 0; l < leaves.size(); ++l) {
+      Var leaf = leaves[l];
+      ASSERT_EQ(grads[l].size(), leaf.value().size()) << l;
+      for (size_t e = 0; e < leaf.value().size(); ++e) {
+        double& x = leaf.mutable_value().data()[e];
+        const double x0 = x;
+        const double eps = 1e-6;
+        x = x0 + eps;
+        const double up = f.Loss(k, 77).item();
+        x = x0 - eps;
+        const double down = f.Loss(k, 77).item();
+        x = x0;
+        const double numeric = (up - down) / (2 * eps);
+        EXPECT_NEAR(grads[l].data()[e], numeric,
+                    1e-6 * std::max(1.0, std::abs(numeric)))
+            << "k=" << k << " leaf " << l << " entry " << e;
+      }
+    }
+  }
+}
+
+// The fused node against the pair-matrix composition it replaced: same
+// negatives, W1 = [W_a; W_b]; only the summation order differs.
+TEST(MineTest, FusedMatchesUnfusedComposition) {
+  constexpr int kM = 40, kD = 6, kH = 9;
+  for (int k : {5, kM - 1}) {
+    MineFixture f(kM, kD, kH, 22);
+    std::vector<Matrix> grads;
+    const double loss = f.LossAndGrads(k, 78, &grads);
+
+    const std::vector<Var> params = f.phi.Params();
+    Matrix w1(2 * kD, kH);
+    std::memcpy(w1.RowPtr(0), params[0].value().data(),
+                kD * kH * sizeof(double));
+    std::memcpy(w1.RowPtr(kD), params[1].value().data(),
+                kD * kH * sizeof(double));
+    std::vector<Var> ref = {Var(f.z_pos.value(), true),
+                            Var(f.z_neg.value(), true), Var(w1, true),
+                            Var(params[2].value(), true),
+                            Var(params[3].value(), true),
+                            Var(params[4].value(), true)};
+    Rng draws(78);
+    Var ref_loss = reference::UnfusedMineLoss(ref[0], ref[1], ref[2], ref[3],
+                                              ref[4], ref[5], k, &draws);
+    ref_loss.Backward();
+    EXPECT_NEAR(loss, ref_loss.item(), 1e-12 * std::abs(ref_loss.item()));
+
+    // The reference's dW1 stacks dW_a over dW_b.
+    Matrix dw_a(kD, kH), dw_b(kD, kH);
+    std::memcpy(dw_a.data(), ref[2].grad().RowPtr(0),
+                kD * kH * sizeof(double));
+    std::memcpy(dw_b.data(), ref[2].grad().RowPtr(kD),
+                kD * kH * sizeof(double));
+    const std::vector<Matrix> expected = {ref[0].grad(), ref[1].grad(), dw_a,
+                                          dw_b,          ref[3].grad(),
+                                          ref[4].grad(), ref[5].grad()};
+    for (size_t l = 0; l < expected.size(); ++l) {
+      ASSERT_EQ(grads[l].size(), expected[l].size()) << l;
+      // db2 is zero up to rounding (the loss does not move when every score
+      // shifts by the same constant): the matched mean contributes -1 and
+      // the softmax weights +1, so 1 is its scale.
+      const double scale = l == 6 ? 1.0 : MaxAbs(expected[l]);
+      ASSERT_GT(scale, 0.0) << l;
+      for (size_t e = 0; e < expected[l].size(); ++e) {
+        EXPECT_NEAR(grads[l].data()[e], expected[l].data()[e], 1e-12 * scale)
+            << "k=" << k << " leaf " << l << " entry " << e;
+      }
+    }
+  }
+}
+
+// At TPGCL's default shape (2048 groups, 32 negatives, 64 wide) every
+// pass of the fused node runs parallel; loss and gradients must not change
+// by a bit with the degree.
+TEST(MineTest, FusedIsBitwiseAcrossParallelDegrees) {
+  struct DegreeGuard {
+    ~DegreeGuard() { internal::SetParallelismDegreeForTest(0); }
+  } guard;
+  double loss1 = 0.0;
+  std::vector<Matrix> grads1;
+  for (int degree : {1, 4, 7}) {
+    internal::SetParallelismDegreeForTest(degree);
+    MineFixture f(2048, 64, 64, 23);
+    std::vector<Matrix> grads;
+    const double loss = f.LossAndGrads(32, 79, &grads);
+    ASSERT_TRUE(std::isfinite(loss));
+    if (degree == 1) {
+      loss1 = loss;
+      grads1 = grads;
+      continue;
+    }
+    EXPECT_EQ(std::memcmp(&loss, &loss1, sizeof(double)), 0) << degree;
+    ASSERT_EQ(grads.size(), grads1.size());
+    for (size_t l = 0; l < grads.size(); ++l) {
+      EXPECT_TRUE(testing::BitwiseEqual(grads[l], grads1[l]))
+          << "degree " << degree << " leaf " << l;
+    }
+  }
 }
 
 TEST(TpgclTest, EmbedsAndSeparatesPlantedGroups) {

@@ -135,6 +135,19 @@ TEST(IoTest, DatasetWithoutAttrsLoadsUnattributed) {
   EXPECT_FALSE(loaded.value().graph.has_attributes());
 }
 
+TEST(IoTest, DatasetWithoutGroupsLoadsUnlabeled) {
+  // .edges and .attrs only: the unlabeled data a user brings.
+  const std::string prefix = TempPath("chain_nogroups");
+  WriteChainDataset(prefix, "path: 0 1 2\n", "1,2\n3,4\n5,6\n7,8\n");
+  std::filesystem::remove(prefix + ".groups");
+  auto loaded = LoadDataset(prefix, "chain");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().graph.num_nodes(), 4);
+  EXPECT_TRUE(loaded.value().graph.has_attributes());
+  EXPECT_TRUE(loaded.value().anomaly_groups.empty());
+  EXPECT_TRUE(loaded.value().group_patterns.empty());
+}
+
 TEST(IoTest, DatasetWithMalformedAttrsIsAnError) {
   // The .attrs file exists but does not parse: that is an error, not "no
   // attributes".
