@@ -249,31 +249,6 @@ Var Scale(const Var& a, double s) {
   });
 }
 
-Var AddRowBroadcast(const Var& a, const Var& bias) {
-  GRGAD_CHECK_EQ(bias.rows(), 1u);
-  GRGAD_CHECK_EQ(a.cols(), bias.cols());
-  Matrix out = AcquireCopyOf(a.value());
-  const double* brow = bias.value().RowPtr(0);
-  for (size_t i = 0; i < out.rows(); ++i) {
-    double* row = out.RowPtr(i);
-    for (size_t j = 0; j < out.cols(); ++j) row[j] += brow[j];
-  }
-  auto an = AutogradOps::node(a);
-  auto bn = AutogradOps::node(bias);
-  return MakeOpNode(std::move(out), {a, bias}, [an, bn](const Matrix& g) {
-    Acc(an, g);
-    if (bn->requires_grad) {
-      Matrix bg = AcquireZeroed(1, g.cols());
-      for (size_t i = 0; i < g.rows(); ++i) {
-        const double* row = g.RowPtr(i);
-        for (size_t j = 0; j < g.cols(); ++j) bg(0, j) += row[j];
-      }
-      bn->AccumulateGrad(std::move(bg));
-      ReleaseScratch(std::move(bg));
-    }
-  });
-}
-
 // The elementwise ops below use Matrix::MapToFn / flat loops over data()
 // rather than the std::function Map: these run every epoch over n_nodes x
 // hidden activations and an indirect call per element is measurable.
@@ -287,13 +262,8 @@ Var Relu(const Var& a) {
   auto an = AutogradOps::node(a);
   return MakeOpNode(std::move(out), {a}, [an](const Matrix& g) {
     if (!an->requires_grad) return;
-    Matrix gg = AcquireCopyOf(g);
-    double* __restrict gd = gg.data();
-    const double* __restrict xd = an->value.data();
-    const size_t size = gg.size();
-    for (size_t i = 0; i < size; ++i) {
-      if (xd[i] <= 0.0) gd[i] = 0.0;
-    }
+    Matrix gg = AcquireUninit(g.rows(), g.cols());
+    ReluMaskInto(an->value, g, &gg);
     an->AccumulateGrad(std::move(gg));
     ReleaseScratch(std::move(gg));
   });

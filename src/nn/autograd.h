@@ -5,14 +5,17 @@
 // closure. Var::Backward() on a 1x1 loss runs the tape in reverse creation
 // order and accumulates gradients into every node with requires_grad set.
 //
-// The op set is what the paper's models call: GCN layers
-// (Spmm/MatMul/AddRowBroadcast/Relu), autoencoder losses
+// The op set is what the paper's models call: GCN propagation and
+// activations (Spmm/MatMul/Relu), autoencoder losses
 // (Sigmoid/MseLoss/PairInnerProduct over sampled pairs), and Add/Scale to
 // combine losses. Fused model-specific nodes are built on NewInteriorNode
-// where they are used: BiasReluFused (src/nn/layers.cc) and the MINE
-// objective of Eqn. (8) (MineLoss, src/gcl/mine.cc). Every op's gradient
-// is validated against finite differences, in tests/autograd_test.cc and,
-// for MineLoss, tests/gcl_test.cc.
+// where they are used: the affine layer act(X W + b) of every Linear, Mlp
+// and GcnLayer (Affine, src/nn/layers.cc) and the MINE objective of
+// Eqn. (8) (MineLoss, src/gcl/mine.cc). Every op's gradient is validated
+// against finite differences, in tests/autograd_test.cc and, for MineLoss,
+// tests/gcl_test.cc; the unfused ops the fused nodes replaced
+// (AddRowBroadcast, BiasReluFused, ...) are their oracles in
+// tests/reference/reference_autograd.h.
 #ifndef GRGAD_NN_AUTOGRAD_H_
 #define GRGAD_NN_AUTOGRAD_H_
 
@@ -152,8 +155,6 @@ Var Spmm(std::shared_ptr<const SparseMatrix> s, const Var& x);
 Var Add(const Var& a, const Var& b);
 /// a * scalar.
 Var Scale(const Var& a, double s);
-/// Adds the 1 x cols row vector `bias` to every row of a.
-Var AddRowBroadcast(const Var& a, const Var& bias);
 
 /// Elementwise max(0, x).
 Var Relu(const Var& a);

@@ -8,66 +8,48 @@
 
 namespace grgad {
 
-Var BiasReluFused(const Var& a, const Var& bias) {
-  GRGAD_CHECK_EQ(bias.rows(), 1u);
-  GRGAD_CHECK_EQ(a.cols(), bias.cols());
-  const size_t rows = a.rows(), cols = a.cols();
-  Matrix out = arena::Uninit(rows, cols);
-  {
-    // Row-chunked over the pool (disjoint rows, so bitwise identical to
-    // the serial loop), matching the other elementwise kernels.
-    const Matrix& av = a.value();
-    const double* brow = bias.value().RowPtr(0);
-    const size_t row_grain = kElementwiseParallelGrain / cols + 1;
-    ParallelFor(rows, row_grain, [&](size_t begin, size_t end) {
-      for (size_t i = begin; i < end; ++i) {
-        const double* src = av.RowPtr(i);
-        double* dst = out.RowPtr(i);
-        for (size_t j = 0; j < cols; ++j) {
-          const double v = src[j] + brow[j];
-          dst[j] = v > 0.0 ? v : 0.0;
-        }
-      }
-    });
-  }
-  auto an = AutogradOps::node(a);
-  auto bn = AutogradOps::node(bias);
-  auto n = internal::NewInteriorNode(std::move(out), {a, bias});
+Var Affine(const Var& x, const Var& w, const Var& b, Activation act) {
+  const bool has_bias = b.defined();
+  const bool relu = act == Activation::kRelu;
+  Matrix out = arena::Uninit(x.rows(), w.cols());
+  AffineInto(x.value(), w.value(), has_bias ? &b.value() : nullptr, relu,
+             &out);
+  auto xn = AutogradOps::node(x);
+  auto wn = AutogradOps::node(w);
+  auto n = internal::NewInteriorNode(
+      std::move(out), has_bias ? std::vector<Var>{x, w, b}
+                               : std::vector<Var>{x, w});
   if (n->requires_grad) {
+    auto bn = has_bias ? AutogradOps::node(b) : nullptr;
     internal::VarNode* self = n.get();
-    n->backward_fn = [an, bn, self](const Matrix& g) {
-      // Mask by output > 0 (== pre-activation > 0); the masked gradient is
-      // shared by the input path and the bias column sums, matching the
-      // unfused Relu-then-AddRowBroadcast backward order exactly.
-      Matrix gm = arena::CopyOf(g);
-      double* __restrict gd = gm.data();
-      const double* __restrict od = self->value.data();
-      const size_t size = gm.size();
-      if (size < 2 * kElementwiseParallelGrain) {
-        for (size_t i = 0; i < size; ++i) {
-          if (od[i] <= 0.0) gd[i] = 0.0;
-        }
-      } else {
-        ParallelFor(size, kElementwiseParallelGrain,
-                    [&](size_t begin, size_t end) {
-                      for (size_t i = begin; i < end; ++i) {
-                        if (od[i] <= 0.0) gd[i] = 0.0;
-                      }
-                    });
+    n->backward_fn = [xn, wn, bn, self, relu](const Matrix& g) {
+      // For ReLU the masked gradient feeds all three parents; otherwise G
+      // itself does, uncopied.
+      Matrix masked;
+      if (relu) {
+        masked = arena::Uninit(g.rows(), g.cols());
+        ReluMaskInto(self->value, g, &masked);
       }
-      if (bn->requires_grad) {
-        // Serial ascending-row reduction, same order as the unfused
-        // AddRowBroadcast backward (a 1 x cols output; not worth chunking).
-        Matrix bg = arena::Zeroed(1, gm.cols());
-        for (size_t i = 0; i < gm.rows(); ++i) {
-          const double* row = gm.RowPtr(i);
-          for (size_t j = 0; j < gm.cols(); ++j) bg(0, j) += row[j];
-        }
-        bn->AccumulateGrad(std::move(bg));
-        arena::Recycle(std::move(bg));
+      const Matrix& gm = relu ? masked : g;
+      if (bn != nullptr && bn->requires_grad) {
+        Matrix gb = arena::Uninit(1, gm.cols());
+        ColumnSumsInto(gm, &gb);
+        bn->AccumulateGrad(std::move(gb));
+        arena::Recycle(std::move(gb));
       }
-      if (an->requires_grad) an->AccumulateGrad(std::move(gm));
-      arena::Recycle(std::move(gm));
+      if (xn->requires_grad) {
+        Matrix gx = arena::Uninit(xn->value.rows(), xn->value.cols());
+        MatMulTransposeBInto(gm, wn->value, &gx);
+        xn->AccumulateGrad(std::move(gx));
+        arena::Recycle(std::move(gx));
+      }
+      if (wn->requires_grad) {
+        Matrix gw = arena::Uninit(wn->value.rows(), wn->value.cols());
+        MatMulTransposeAInto(xn->value, gm, &gw);
+        wn->AccumulateGrad(std::move(gw));
+        arena::Recycle(std::move(gw));
+      }
+      arena::Recycle(std::move(masked));
     };
   }
   return AutogradOps::Wrap(std::move(n));
@@ -94,16 +76,9 @@ Linear::Linear(size_t in_dim, size_t out_dim, Rng* rng, bool use_bias)
   }
 }
 
-Var Linear::Forward(const Var& x) const {
+Var Linear::Forward(const Var& x, Activation act) const {
   GRGAD_CHECK_EQ(x.cols(), in_dim_);
-  Var out = MatMul(x, weight_);
-  if (bias_.defined()) out = AddRowBroadcast(out, bias_);
-  return out;
-}
-
-Var Linear::ForwardNoBias(const Var& x) const {
-  GRGAD_CHECK_EQ(x.cols(), in_dim_);
-  return MatMul(x, weight_);
+  return Affine(x, weight_, bias_, act);
 }
 
 std::vector<Var> Linear::Params() const {
@@ -135,13 +110,8 @@ Var Mlp::Forward(const Var& x) const {
   Var h = x;
   for (size_t i = 0; i < layers_.size(); ++i) {
     const bool interior = i + 1 < layers_.size();
-    if (interior && layers_[i].has_bias()) {
-      // Fused bias+ReLU: bitwise identical to the unfused pair below.
-      h = BiasReluFused(layers_[i].ForwardNoBias(h), layers_[i].bias());
-    } else {
-      h = layers_[i].Forward(h);
-      if (interior) h = Relu(h);
-    }
+    h = layers_[i].Forward(h, interior ? Activation::kRelu
+                                       : Activation::kIdentity);
   }
   return h;
 }

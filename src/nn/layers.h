@@ -17,15 +17,21 @@ class Rng;
 /// Glorot/Xavier uniform initialization: U(-sqrt(6/(in+out)), +...).
 Matrix GlorotUniform(size_t in_dim, size_t out_dim, Rng* rng);
 
-/// Fused bias-broadcast + ReLU: out = max(0, a + bias) with `bias` a
-/// 1 x a.cols() row vector, as a single tape node. One pass over the
-/// activations forward and backward instead of the AddRowBroadcast + Relu
-/// pair (which materialized the pre-activation and a second gradient
-/// buffer every epoch). Bitwise identical to Relu(AddRowBroadcast(a, bias))
-/// in both directions: the forward applies the same add-then-clamp per
-/// element, and the backward masks the incoming gradient by output > 0 —
-/// exactly the pre-activation > 0 test, since relu(x) > 0 iff x > 0.
-Var BiasReluFused(const Var& a, const Var& bias);
+/// The activation of an Affine node.
+enum class Activation { kIdentity, kRelu };
+
+/// y = act(x W + b) as one tape node: x is n x in, w is in x out, and b is
+/// a 1 x out row vector, or undefined for no bias. The forward is one
+/// AffineInto kernel call, which adds b (and clamps) in the MatMul store,
+/// so every element gets the single `sum + b` rounding of the unfused
+/// MatMul -> AddRowBroadcast (-> Relu) tape. The backward works from the
+/// output gradient G directly: it masks G by output > 0 for ReLU (the same
+/// test as pre-activation > 0), sums db over ascending rows per column,
+/// then accumulates dX = G Wᵀ and dW = Xᵀ G, in that order (the order in
+/// which the unfused tape reached each parent, which keeps parameters
+/// shared by several nodes bitwise too). Values and all three gradients
+/// are bitwise equal to the unfused tape (tests/autograd_test.cc).
+Var Affine(const Var& x, const Var& w, const Var& b, Activation act);
 
 /// Fully connected layer: y = x W + b.
 class Linear {
@@ -33,21 +39,14 @@ class Linear {
   /// Initializes W with Glorot-uniform and b (if used) with zeros.
   Linear(size_t in_dim, size_t out_dim, Rng* rng, bool use_bias = true);
 
-  /// x: n x in_dim -> n x out_dim.
-  Var Forward(const Var& x) const;
-
-  /// x W without the bias term; callers (e.g. Mlp's fused bias+ReLU path)
-  /// apply the bias themselves.
-  Var ForwardNoBias(const Var& x) const;
+  /// x: n x in_dim -> act(x W + b), n x out_dim, as one Affine node.
+  Var Forward(const Var& x, Activation act = Activation::kIdentity) const;
 
   /// Trainable parameter handles (shared with the optimizer).
   std::vector<Var> Params() const;
 
   size_t in_dim() const { return in_dim_; }
   size_t out_dim() const { return out_dim_; }
-  bool has_bias() const { return bias_.defined(); }
-  /// The 1 x out_dim bias parameter; must only be called when has_bias().
-  const Var& bias() const { return bias_; }
 
  private:
   size_t in_dim_;

@@ -162,11 +162,19 @@ class Matrix {
 /// out = a * b (parallel register-blocked kernel); out must be
 /// a.rows() x b.cols().
 void MatMulInto(const Matrix& a, const Matrix& b, Matrix* out);
+/// out = act(a * b + bias): `bias` is a 1 x b.cols() row added to every
+/// row (or null for none) and act is max(0, .) when `relu`. The bias and
+/// clamp are applied in the kernel's store, to the same sums MatMulInto
+/// computes, so the result is bitwise that of MatMulInto followed by a
+/// separate `+ bias` (and clamp) pass.
+void AffineInto(const Matrix& a, const Matrix& b, const Matrix* bias,
+                bool relu, Matrix* out);
 /// out = a * b^T; out must be a.rows() x b.rows(). Scratch for the
 /// materialized transpose comes from the current arena when one is
 /// installed.
 void MatMulTransposeBInto(const Matrix& a, const Matrix& b, Matrix* out);
-/// out = a^T * b; out must be a.cols() x b.cols().
+/// out = a^T * b; out must be a.cols() x b.cols(). Reads a in place (no
+/// transpose) and is bitwise equal to MatMulInto over TransposeInto(a).
 void MatMulTransposeAInto(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a^T; out must be a.cols() x a.rows().
 void TransposeInto(const Matrix& a, Matrix* out);
@@ -174,6 +182,12 @@ void TransposeInto(const Matrix& a, Matrix* out);
 void AddInto(const Matrix& a, const Matrix& b, Matrix* out);
 /// out = a * s (same shape; out may not alias a).
 void ScaledInto(const Matrix& a, double s, Matrix* out);
+/// out(0, j) = sum over rows of a(i, j), each column summed over ascending
+/// rows from 0 (the serial order); out must be 1 x a.cols().
+void ColumnSumsInto(const Matrix& a, Matrix* out);
+/// The ReLU backward mask: out = x <= 0 ? 0 : g, elementwise (all three the
+/// same shape; out may not alias x or g).
+void ReluMaskInto(const Matrix& x, const Matrix& g, Matrix* out);
 
 }  // namespace grgad
 

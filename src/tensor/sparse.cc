@@ -71,9 +71,12 @@ void SparseMatrix::SpmmInto(const Matrix& dense, Matrix* out) const {
   GRGAD_CHECK_EQ(cols_, dense.rows());
   GRGAD_CHECK(out != nullptr && out->rows() == rows_ &&
               out->cols() == dense.cols());
-  out->Fill(0.0);
   const size_t n = dense.cols();
+  // Each chunk zeroes its own output rows: no serial fill ahead of the
+  // parallel loop.
   ParallelFor(rows_, 256, [&](size_t begin, size_t end) {
+    std::fill(out->RowPtr(begin), out->RowPtr(begin) + (end - begin) * n,
+              0.0);
     for (size_t i = begin; i < end; ++i) {
       double* __restrict orow = out->RowPtr(i);
       for (size_t p = row_ptr_[i]; p < row_ptr_[i + 1]; ++p) {

@@ -239,5 +239,32 @@ TEST(ArenaTrainingTest, TpgclArenaIsConstantFromTheSecondEpoch) {
   }
 }
 
+// The GAE half: a GcnGae fit (two fused-affine GCN layers, the attribute
+// decoder Mlp, the pair decoder and both losses) parks the same bytes and
+// free buffers after 2, 3 and 6 epochs.
+TEST(ArenaTrainingTest, GaeArenaIsConstantFromTheSecondEpoch) {
+  DatasetOptions data_options;
+  data_options.seed = 11;
+  const Dataset d = GenExampleGraph(data_options);
+  auto fit = [&](int epochs) {
+    MatrixArena arena;
+    GaeOptions options;
+    options.epochs = epochs;
+    options.hidden_dim = 16;
+    options.embed_dim = 8;
+    options.arena = &arena;
+    const GaeResult result = GcnGae(options).Fit(d.graph);
+    EXPECT_EQ(result.loss_history.size(), static_cast<size_t>(epochs));
+    return std::make_pair(arena.stats().heap_bytes, arena.free_buffers());
+  };
+  const auto at2 = fit(2);
+  EXPECT_GT(at2.first, 0u);
+  for (int epochs : {3, 6}) {
+    const auto at_n = fit(epochs);
+    EXPECT_EQ(at_n.first, at2.first) << "heap_bytes after " << epochs;
+    EXPECT_EQ(at_n.second, at2.second) << "free_buffers after " << epochs;
+  }
+}
+
 }  // namespace
 }  // namespace grgad

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/nn/layers.h"
 #include "src/util/rng.h"
 #include "tests/kernel_test_util.h"
 #include "tests/reference/reference_autograd.h"
@@ -19,6 +20,7 @@ namespace {
 
 // Generic ops the product no longer calls; their oracles live in
 // tests/reference/reference_autograd.h.
+using reference::AddRowBroadcast;
 using reference::ConcatCols;
 using reference::GatherRows;
 using reference::MaskedLogSumExp;
@@ -276,6 +278,131 @@ TEST(AutogradGradients, ComposedGcnLikeNetwork) {
         return SquaredNorm(pooled);
       },
       RandomMatrix(3, 2, 36), 2e-4);
+}
+
+// ---- the fused affine node, act(X W + b) (src/nn/layers.cc) ----
+
+TEST(AffineGradients, MatchFiniteDifferencesForEveryInput) {
+  const Matrix x0 = RandomMatrix(5, 4, 40);
+  const Matrix w0 = RandomMatrix(4, 3, 41);
+  const Matrix b0 = RandomMatrix(1, 3, 42);
+  for (Activation act : {Activation::kIdentity, Activation::kRelu}) {
+    SCOPED_TRACE(act == Activation::kRelu ? "relu" : "identity");
+    CheckGradient(
+        [&](const Var& x) {
+          return SquaredNorm(Affine(x, Var(w0), Var(b0), act));
+        },
+        x0);
+    CheckGradient(
+        [&](const Var& w) {
+          return SquaredNorm(Affine(Var(x0), w, Var(b0), act));
+        },
+        w0);
+    CheckGradient(
+        [&](const Var& b) {
+          return SquaredNorm(Affine(Var(x0), Var(w0), b, act));
+        },
+        b0);
+    CheckGradient(  // No bias.
+        [&](const Var& w) {
+          return SquaredNorm(Affine(Var(x0), w, Var(), act));
+        },
+        w0);
+  }
+}
+
+/// The tapes the fused node replaced: MatMul -> AddRowBroadcast for a
+/// Linear layer, MatMul -> BiasReluFused for an Mlp interior layer, and
+/// MatMul (-> Relu) without a bias.
+Var UnfusedAffine(const Var& x, const Var& w, const Var& b, Activation act) {
+  Var xw = MatMul(x, w);
+  if (act == Activation::kRelu) {
+    return b.defined() ? reference::BiasReluFused(xw, b) : Relu(xw);
+  }
+  return b.defined() ? AddRowBroadcast(xw, b) : xw;
+}
+
+struct AffineRun {
+  Matrix y1, y2, gx1, gx2, gw, gb;
+};
+
+/// Two nodes on one W and b (the pos/neg views of TPGCL share their
+/// encoder), each against its own target, backward through the sum of the
+/// two losses. With `shared` false only the first node is built.
+AffineRun RunAffine(bool fused, bool shared, bool bias, Activation act,
+                    size_t rows, size_t in, size_t out) {
+  const Matrix x1_init = RandomMatrix(rows, in, 50);
+  const Matrix x2_init = RandomMatrix(rows, in, 51);
+  const Matrix w_init = RandomMatrix(in, out, 52);
+  const Matrix b_init = RandomMatrix(1, out, 53);
+  const Matrix t1 = RandomMatrix(rows, out, 54);
+  const Matrix t2 = RandomMatrix(rows, out, 55);
+  Var x1(x1_init, true), x2(x2_init, true), w(w_init, true);
+  Var b = bias ? Var(b_init, true) : Var();
+  auto node = [&](const Var& x) {
+    return fused ? Affine(x, w, b, act) : UnfusedAffine(x, w, b, act);
+  };
+  Var y1 = node(x1);
+  Var loss = MseLoss(y1, t1);
+  Var y2;
+  if (shared) {
+    y2 = node(x2);
+    loss = Add(loss, MseLoss(y2, t2));
+  }
+  loss.Backward();
+  AffineRun run{y1.value(), shared ? y2.value() : Matrix(), x1.grad(),
+                x2.grad(), w.grad(), bias ? b.grad() : Matrix()};
+  return run;
+}
+
+void ExpectRunsBitwiseEqual(const AffineRun& a, const AffineRun& b) {
+  EXPECT_TRUE(testing::BitwiseEqual(a.y1, b.y1)) << "y1";
+  EXPECT_TRUE(testing::BitwiseEqual(a.y2, b.y2)) << "y2";
+  EXPECT_TRUE(testing::BitwiseEqual(a.gx1, b.gx1)) << "dX1";
+  EXPECT_TRUE(testing::BitwiseEqual(a.gx2, b.gx2)) << "dX2";
+  EXPECT_TRUE(testing::BitwiseEqual(a.gw, b.gw)) << "dW";
+  EXPECT_TRUE(testing::BitwiseEqual(a.gb, b.gb)) << "db";
+}
+
+// 7 x 5 stays serial and is all column tail; 70 x 21 has full register
+// tiles and a column tail; 700 x 64 crosses the parallel thresholds of the
+// column sums and the ReLU mask, and its row chunks end in row tails.
+TEST(AffineGradients, BitwiseEqualToTheUnfusedTape) {
+  for (const auto& [rows, in, out] :
+       {std::tuple<size_t, size_t, size_t>{7, 3, 5}, {70, 9, 21},
+        {700, 33, 64}}) {
+    for (bool bias : {true, false}) {
+      for (Activation act : {Activation::kIdentity, Activation::kRelu}) {
+        for (int degree : {1, 4, 7}) {
+          testing::ScopedDegree scoped(degree);
+          SCOPED_TRACE(::testing::Message()
+                       << rows << "x" << in << "x" << out << " bias=" << bias
+                       << " relu=" << (act == Activation::kRelu)
+                       << " degree=" << degree);
+          const AffineRun fused =
+              RunAffine(true, /*shared=*/false, bias, act, rows, in, out);
+          ASSERT_FALSE(fused.gw.empty());
+          ExpectRunsBitwiseEqual(
+              fused, RunAffine(false, false, bias, act, rows, in, out));
+        }
+      }
+    }
+  }
+}
+
+TEST(AffineGradients, SharedWeightsAccumulateBitwiseLikeTheUnfusedTape) {
+  for (Activation act : {Activation::kIdentity, Activation::kRelu}) {
+    for (int degree : {1, 4}) {
+      testing::ScopedDegree scoped(degree);
+      SCOPED_TRACE(::testing::Message() << "relu=" << (act == Activation::kRelu)
+                                        << " degree=" << degree);
+      const AffineRun fused = RunAffine(true, /*shared=*/true, true, act, 700,
+                                        33, 64);
+      ASSERT_FALSE(fused.gx2.empty());
+      ExpectRunsBitwiseEqual(fused,
+                             RunAffine(false, true, true, act, 700, 33, 64));
+    }
+  }
 }
 
 // Property sweep: SquaredNorm gradient == 2x for random shapes (each row's

@@ -12,9 +12,11 @@
 namespace grgad::testing {
 
 /// Exact (bit-for-bit) matrix equality; NaNs compare by representation.
+/// Empty matrices (whose data() may be null) compare by shape alone.
 inline bool BitwiseEqual(const Matrix& a, const Matrix& b) {
   return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0;
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(), a.size() * sizeof(double)) == 0);
 }
 
 /// Builds a matrix from nested row lists; all rows must have equal width.

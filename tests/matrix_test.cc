@@ -102,7 +102,8 @@ TEST(MatrixTest, TransposeKernelsAgree) {
   Rng rng(3);
   Matrix a = Matrix::Gaussian(6, 4, &rng);
   Matrix b = Matrix::Gaussian(5, 4, &rng);
-  // Each transpose kernel is MatMulInto over one materialized transpose, so
+  // MatMulTransposeBInto is MatMulInto over one materialized transpose and
+  // MatMulTransposeAInto runs its accumulation chains in place, so
   // agreement with the explicit form is bitwise; stale outputs are
   // overwritten.
   Matrix tb(6, 5, 5.0);
@@ -204,6 +205,62 @@ INSTANTIATE_TEST_SUITE_P(
                       std::make_tuple(5, 7, 33), std::make_tuple(64, 64, 64),
                       std::make_tuple(130, 96, 70),
                       std::make_tuple(33, 128, 257)));
+
+// MatMulTransposeAInto reads a in place and walks k in blocks of 64 rows.
+// Shapes: k below, equal to, a multiple of and not a multiple of the block
+// (20,582 is the simml view batch), p with a row tail (33) and without
+// (64), n with a column tail (17) and without (64).
+class TransposeAKernelTest
+    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+
+TEST_P(TransposeAKernelTest, BitwiseEqualToTransposeThenMatMul) {
+  const auto [k, p, n] = GetParam();
+  Rng rng(211 + k + 3 * p + 7 * n);
+  const Matrix a = Matrix::Gaussian(k, p, &rng);
+  const Matrix b = Matrix::Gaussian(k, n, &rng);
+  Matrix at(p, k);
+  TransposeInto(a, &at);
+  const Matrix expected = Product(at, b);
+  const Matrix oracle = reference::MatMulTransposeA(a, b);
+  for (int degree : {1, 4, 7}) {
+    ScopedDegree scoped(degree);
+    Matrix out(p, n, /*fill=*/5.0);  // Stale contents must not leak in.
+    MatMulTransposeAInto(a, b, &out);
+    EXPECT_TRUE(BitwiseEqual(out, expected)) << degree << " threads";
+    EXPECT_TRUE(out.ApproxEquals(oracle, 1e-12)) << degree << " threads";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Shapes, TransposeAKernelTest,
+    ::testing::Combine(::testing::Values(1, 64, 256, 1000, 20582),
+                       ::testing::Values(33, 64), ::testing::Values(17, 64)));
+
+TEST(MatrixTest, ColumnSumsAndReluMaskMatchSerialLoops) {
+  Rng rng(212);
+  // 700 x 64 crosses both kernels' parallel thresholds; 9 x 11 does not.
+  for (const auto& [rows, cols] : {std::pair<int, int>{9, 11}, {700, 64}}) {
+    const Matrix a = Matrix::Gaussian(rows, cols, &rng);
+    const Matrix g = Matrix::Gaussian(rows, cols, &rng);
+    Matrix sums(1, cols, 0.0);
+    Matrix masked(rows, cols);
+    for (int i = 0; i < rows; ++i) {
+      for (int j = 0; j < cols; ++j) {
+        sums(0, j) += a(i, j);
+        masked(i, j) = a(i, j) <= 0.0 ? 0.0 : g(i, j);
+      }
+    }
+    for (int degree : {1, 4, 7}) {
+      ScopedDegree scoped(degree);
+      Matrix out_sums(1, cols, 5.0);
+      ColumnSumsInto(a, &out_sums);
+      EXPECT_TRUE(BitwiseEqual(out_sums, sums)) << rows << " " << degree;
+      Matrix out_masked(rows, cols, 5.0);
+      ReluMaskInto(a, g, &out_masked);
+      EXPECT_TRUE(BitwiseEqual(out_masked, masked)) << rows << " " << degree;
+    }
+  }
+}
 
 TEST(MatrixTest, MapFnMatchesReferenceMapAndGoesParallel) {
   Rng rng(7);

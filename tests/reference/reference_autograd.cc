@@ -5,7 +5,6 @@
 #include <cstring>
 #include <functional>
 
-#include "src/nn/layers.h"
 #include "src/tensor/arena.h"
 #include "src/util/rng.h"
 
@@ -27,6 +26,70 @@ void Acc(const std::shared_ptr<VarNode>& p, const Matrix& g) {
 }
 
 }  // namespace
+
+Var AddRowBroadcast(const Var& a, const Var& bias) {
+  GRGAD_CHECK_EQ(bias.rows(), 1u);
+  GRGAD_CHECK_EQ(a.cols(), bias.cols());
+  Matrix out = arena::CopyOf(a.value());
+  const double* brow = bias.value().RowPtr(0);
+  for (size_t i = 0; i < out.rows(); ++i) {
+    double* row = out.RowPtr(i);
+    for (size_t j = 0; j < out.cols(); ++j) row[j] += brow[j];
+  }
+  auto an = AutogradOps::node(a);
+  auto bn = AutogradOps::node(bias);
+  return MakeOpNode(std::move(out), {a, bias}, [an, bn](const Matrix& g) {
+    Acc(an, g);
+    if (bn->requires_grad) {
+      Matrix bg = arena::Zeroed(1, g.cols());
+      for (size_t i = 0; i < g.rows(); ++i) {
+        const double* row = g.RowPtr(i);
+        for (size_t j = 0; j < g.cols(); ++j) bg(0, j) += row[j];
+      }
+      bn->AccumulateGrad(std::move(bg));
+      arena::Recycle(std::move(bg));
+    }
+  });
+}
+
+Var BiasReluFused(const Var& a, const Var& bias) {
+  GRGAD_CHECK_EQ(bias.rows(), 1u);
+  GRGAD_CHECK_EQ(a.cols(), bias.cols());
+  Matrix out = arena::Uninit(a.rows(), a.cols());
+  const double* brow = bias.value().RowPtr(0);
+  for (size_t i = 0; i < out.rows(); ++i) {
+    const double* src = a.value().RowPtr(i);
+    double* dst = out.RowPtr(i);
+    for (size_t j = 0; j < out.cols(); ++j) {
+      const double v = src[j] + brow[j];
+      dst[j] = v > 0.0 ? v : 0.0;
+    }
+  }
+  auto an = AutogradOps::node(a);
+  auto bn = AutogradOps::node(bias);
+  auto n = internal::NewInteriorNode(std::move(out), {a, bias});
+  if (n->requires_grad) {
+    VarNode* self = n.get();
+    n->backward_fn = [an, bn, self](const Matrix& g) {
+      Matrix gm = arena::CopyOf(g);
+      for (size_t i = 0; i < gm.size(); ++i) {
+        if (self->value.data()[i] <= 0.0) gm.data()[i] = 0.0;
+      }
+      if (bn->requires_grad) {
+        Matrix bg = arena::Zeroed(1, gm.cols());
+        for (size_t i = 0; i < gm.rows(); ++i) {
+          const double* row = gm.RowPtr(i);
+          for (size_t j = 0; j < gm.cols(); ++j) bg(0, j) += row[j];
+        }
+        bn->AccumulateGrad(std::move(bg));
+        arena::Recycle(std::move(bg));
+      }
+      if (an->requires_grad) an->AccumulateGrad(std::move(gm));
+      arena::Recycle(std::move(gm));
+    };
+  }
+  return AutogradOps::Wrap(std::move(n));
+}
 
 Var AddScalar(const Var& a, double s) {
   Matrix out = arena::Uninit(a.rows(), a.cols());

@@ -1,8 +1,10 @@
 // Autograd ops the product no longer calls, kept as oracles: the pair-matrix
 // form of the MINE objective (Eqn. (8)) that the fused node in
-// src/gcl/mine.cc replaced, and the generic ops it was built from. Tests
-// check the fused loss and its gradients against UnfusedMineLoss, and each
-// op's own gradient against finite differences (tests/autograd_test.cc).
+// src/gcl/mine.cc replaced, the generic ops it was built from, and the bias
+// ops that the fused Affine node (src/nn/layers.cc) replaced. Tests check
+// the fused loss and its gradients against UnfusedMineLoss, Affine against
+// MatMul -> AddRowBroadcast (-> Relu), and each op's own gradient against
+// finite differences (tests/autograd_test.cc).
 // Test-only library, like its companion tests/reference/reference_kernels.h.
 #ifndef GRGAD_TESTS_REFERENCE_REFERENCE_AUTOGRAD_H_
 #define GRGAD_TESTS_REFERENCE_REFERENCE_AUTOGRAD_H_
@@ -17,6 +19,16 @@ namespace grgad {
 class Rng;
 
 namespace reference {
+
+/// Adds the 1 x cols row vector `bias` to every row of a (serial in both
+/// directions; the backward hands the output gradient to a unchanged and
+/// sums bias's columns over ascending rows).
+Var AddRowBroadcast(const Var& a, const Var& bias);
+
+/// Relu(AddRowBroadcast(a, bias)) as one node: the forward adds and clamps
+/// per element; the backward masks the gradient by output > 0, then sums
+/// the bias columns, then hands the masked gradient to a.
+Var BiasReluFused(const Var& a, const Var& bias);
 
 /// a + scalar, elementwise (gradient passes through unchanged).
 Var AddScalar(const Var& a, double s);

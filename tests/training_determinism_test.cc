@@ -1,12 +1,11 @@
 // End-to-end training determinism: the arena-backed autograd, fused
-// bias+ReLU, and fused optimizer paths must produce training outputs (loss
+// affine, and fused optimizer paths must produce training outputs (loss
 // history, embeddings, per-node errors) byte-identical to the pre-arena
 // implementation and invariant across thread counts. The golden hashes
 // below pin those exact bytes so a change that silently shifts training
 // numerics fails loudly.
 #include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <vector>
 
@@ -21,7 +20,6 @@
 #include "src/gae/dominant.h"
 #include "src/gae/gae_base.h"
 #include "src/gcl/tpgcl.h"
-#include "src/nn/layers.h"
 #include "src/nn/optim.h"
 #include "src/util/rng.h"
 #include "src/util/thread_pool.h"
@@ -231,7 +229,7 @@ TEST(TrainingDeterminismTest, GroupGoldensExerciseTheCap) {
 //    build): FMA contraction changes the bytes; these literals assume the
 //    reference container's GCC. On other FMA ISAs (plain AVX2) the exact
 //    literal check is skipped; the cross-thread test above and the fused
-//    bias+ReLU test below still cover every build.
+//    node tests in tests/autograd_test.cc still cover every build.
 // kTpgcl alone was captured later, from the factorized, fused MINE critic
 // (src/gcl/mine.cc), which sums the same pair terms in another order.
 #if defined(__AVX512F__) || !defined(__FMA__)
@@ -279,40 +277,6 @@ TEST(TrainingDeterminismTest, BaselinesMatchGoldenBytes) {
   }
 }
 #endif  // __AVX512F__ || !__FMA__
-
-TEST(TrainingDeterminismTest, BiasReluFusedMatchesUnfusedBitwise) {
-  Rng rng(123);
-  const Matrix a_init = Matrix::Gaussian(17, 9, &rng);
-  const Matrix bias_init = Matrix::Gaussian(1, 9, &rng);
-  const Matrix upstream = Matrix::Gaussian(17, 9, &rng);
-
-  auto run = [&](bool fused, Matrix* ga, Matrix* gb) {
-    Var a(a_init, /*requires_grad=*/true);
-    Var bias(bias_init, /*requires_grad=*/true);
-    Var out = fused ? BiasReluFused(a, bias)
-                    : Relu(AddRowBroadcast(a, bias));
-    // Reduce against fixed targets so every output element's gradient is
-    // exercised with a distinct value.
-    Var loss = MseLoss(out, upstream);
-    loss.Backward();
-    *ga = a.grad();
-    *gb = bias.grad();
-    return out.value();
-  };
-  Matrix ga_fused, gb_fused, ga_ref, gb_ref;
-  const Matrix out_fused = run(true, &ga_fused, &gb_fused);
-  const Matrix out_ref = run(false, &ga_ref, &gb_ref);
-  ASSERT_EQ(out_fused.size(), out_ref.size());
-  EXPECT_EQ(std::memcmp(out_fused.data(), out_ref.data(),
-                        out_ref.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(ga_fused.data(), ga_ref.data(),
-                        ga_ref.size() * sizeof(double)),
-            0);
-  EXPECT_EQ(std::memcmp(gb_fused.data(), gb_ref.data(),
-                        gb_ref.size() * sizeof(double)),
-            0);
-}
 
 TEST(TrainingDeterminismTest, AddScalarForwardAndGradient) {
   Var a(testing::FromRows({{1.0, -2.0}, {0.5, 3.0}}), /*requires_grad=*/true);
