@@ -669,7 +669,7 @@ std::vector<EpochResult> MeasureTrainingEpochs() {
 }
 
 // ---------------------------------------------------------------------------
-// Serve round-trip: one rescore request through a resident, prewarmed
+// Serve round-trip: rescore requests through a resident, prewarmed
 // ServeDaemon over a local pipe pair — the steady-state latency a
 // `grgad serve` client pays, transport included -> the "serve" table.
 // ---------------------------------------------------------------------------
@@ -720,37 +720,52 @@ std::vector<ServeResult> MeasureServeRoundTrip() {
   });
   {
     LineChannel client(s2c[0], c2s[1], /*own_fds=*/true);
-    const std::string request =
-        R"({"id": 1, "op": "rescore", "detector": "ensemble", "top": 3})";
     std::string response;
     bool eof = false;
-    auto round_trip = [&]() -> bool {
-      if (!client.WriteLine(request).ok()) return false;
-      return client.ReadLine(&response, &eof).ok() && !eof;
-    };
-    constexpr int kWarmup = 2;
-    constexpr int kRoundTrips = 20;
-    bool ok = true;
-    for (int i = 0; i < kWarmup && ok; ++i) ok = round_trip();
-    ServeResult r;
-    r.name = "round_trip";
-    r.min_ms = 0.0;
-    double total_ms = 0.0;
-    for (int i = 0; i < kRoundTrips && ok; ++i) {
-      Timer timer;
-      ok = round_trip();
-      const double ms = timer.ElapsedSeconds() * 1000.0;
-      total_ms += ms;
-      r.min_ms = i == 0 ? ms : std::min(r.min_ms, ms);
-      ++r.round_trips;
-    }
-    if (ok && r.round_trips > 0) {
+    // One entry per scoring path: `round_trip` repeats one request, so
+    // after its warmup every trip hits the daemon's score cache;
+    // `rescore_miss` sends a new seed on every trip, so every trip refits.
+    auto measure = [&](const char* name, auto request_at) -> bool {
+      int trip = 0;
+      auto round_trip = [&]() -> bool {
+        if (!client.WriteLine(request_at(trip++)).ok()) return false;
+        return client.ReadLine(&response, &eof).ok() && !eof;
+      };
+      constexpr int kWarmup = 2;
+      constexpr int kRoundTrips = 20;
+      bool ok = true;
+      for (int i = 0; i < kWarmup && ok; ++i) ok = round_trip();
+      ServeResult r;
+      r.name = name;
+      r.min_ms = 0.0;
+      double total_ms = 0.0;
+      for (int i = 0; i < kRoundTrips && ok; ++i) {
+        Timer timer;
+        ok = round_trip();
+        const double ms = timer.ElapsedSeconds() * 1000.0;
+        total_ms += ms;
+        r.min_ms = i == 0 ? ms : std::min(r.min_ms, ms);
+        ++r.round_trips;
+      }
+      if (!ok || r.round_trips == 0) {
+        std::printf("  !! serve bench: %s round trip failed\n", name);
+        return false;
+      }
       r.mean_ms = total_ms / r.round_trips;
       std::printf("  serve %-15s mean %9.3f ms   min %9.3f ms   (%d trips)\n",
                   r.name.c_str(), r.mean_ms, r.min_ms, r.round_trips);
       results.push_back(std::move(r));
-    } else {
-      std::printf("  !! serve bench: round trip failed\n");
+      return true;
+    };
+    if (measure("round_trip", [](int) -> std::string {
+          return R"({"id": 1, "op": "rescore", "detector": "ensemble", )"
+                 R"("top": 3})";
+        })) {
+      measure("rescore_miss", [](int trip) {
+        return R"({"id": 2, "op": "rescore", "detector": "ensemble", )"
+               R"("top": 3, "seed": )" +
+               std::to_string(1000 + trip) + "}";
+      });
     }
   }  // Client hangs up; the daemon drains and Serve() returns.
   server.join();

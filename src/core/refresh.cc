@@ -93,6 +93,7 @@ Status RefreshArtifacts(const Graph& g, const TpGrGadOptions& options,
     stats->reused_anchors = anchors.size() - dirty.size();
     stats->num_groups = artifacts->candidate_groups.size();
     stats->full = full;
+    stats->scores_degraded = scored.value().degraded();
   }
   GRGAD_LOG(kDebug) << "refresh: " << dirty.size() << "/" << anchors.size()
                     << " anchors resampled, "

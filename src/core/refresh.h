@@ -47,6 +47,9 @@ struct RefreshStats {
   size_t reused_anchors = 0;  ///< Anchors served from the cache.
   size_t num_groups = 0;      ///< Candidate groups after the merge.
   bool full = false;          ///< True when unprimed forced a full resample.
+  /// True when an ensemble member failed while scoring: the resident
+  /// scores are the degraded survivors' ranking.
+  bool scores_degraded = false;
 };
 
 /// Re-samples `dirty_indices` (indices into artifacts->anchors), merges with

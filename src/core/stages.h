@@ -93,6 +93,14 @@ struct ScoringStageOutput {
   /// otherwise). A failed member is dropped and the scores average over the
   /// survivors; all members failing is a stage error, not a zero score.
   std::vector<EnsembleMemberStatus> member_statuses;
+
+  /// True when an ensemble member failed: the scores rank the survivors.
+  bool degraded() const {
+    for (const EnsembleMemberStatus& member : member_statuses) {
+      if (!member.status.ok()) return true;
+    }
+    return false;
+  }
 };
 
 /// Trains MH-GAE on `g` and selects anchor nodes. InvalidArgument when the

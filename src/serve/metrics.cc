@@ -92,6 +92,16 @@ void ServeMetrics::RecordRefresh(size_t dirty, size_t reused) {
   reused_anchors_ += reused;
 }
 
+void ServeMetrics::RecordArtifactGeneration(uint64_t generation) {
+  std::lock_guard<std::mutex> lock(mu_);
+  artifact_generation_ = generation;
+}
+
+void ServeMetrics::RecordScoreLookup(bool hit) {
+  std::lock_guard<std::mutex> lock(mu_);
+  ++(hit ? score_hits_ : score_misses_);
+}
+
 void ServeMetrics::SetDurabilityEnabled(bool enabled) {
   std::lock_guard<std::mutex> lock(mu_);
   durability_enabled_ = enabled;
@@ -199,6 +209,12 @@ std::string ServeMetrics::SnapshotJson(size_t queue_depth,
       .Key("refreshes").Int(refreshes_)
       .Key("refreshed_anchors").Int(refreshed_anchors_)
       .Key("reused_anchors").Int(reused_anchors_)
+      .End();
+
+  json.Key("scoring_cache").Object()
+      .Key("generation").Int(artifact_generation_)
+      .Key("hits").Int(score_hits_)
+      .Key("misses").Int(score_misses_)
       .End();
 
   json.Key("durability").Object()

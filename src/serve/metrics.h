@@ -9,7 +9,8 @@
 // ("grgad-serve-metrics-v3", schema documented in PERF.md) with queue
 // gauges, per-op request counts + latency aggregates, batch-size stats, a
 // log-spaced request latency histogram, per-(sub-)stage wall-time
-// aggregates, mutation/invalidation-fanout/refresh counters, durability
+// aggregates, mutation/invalidation-fanout/refresh counters, rescore
+// score-cache counters (artifact generation, hits, misses), durability
 // counters (WAL appends/bytes/fsyncs, snapshots, recovery replay and
 // truncation totals), the shared workspace/arena allocation counters, and
 // a most-recent-batches timeline ring (collector + timeline, not an
@@ -65,6 +66,14 @@ class ServeMetrics {
   /// One incremental refresh completed: `dirty` anchors re-sampled,
   /// `reused` served from the cache.
   void RecordRefresh(size_t dirty, size_t reused);
+
+  /// The resident artifacts entered generation `generation` (a refresh
+  /// ran, live or replayed); the score cache starts empty.
+  void RecordArtifactGeneration(uint64_t generation);
+
+  /// One rescore consulted the (detector, seed) score cache: `hit` true
+  /// when it rendered from a cached result instead of refitting.
+  void RecordScoreLookup(bool hit);
 
   // Durability (the "durability" snapshot section, schema v3):
 
@@ -141,6 +150,10 @@ class ServeMetrics {
   uint64_t refreshes_ = 0;
   uint64_t refreshed_anchors_ = 0;
   uint64_t reused_anchors_ = 0;
+  // Rescore score cache (the "scoring_cache" snapshot section):
+  uint64_t artifact_generation_ = 0;
+  uint64_t score_hits_ = 0;
+  uint64_t score_misses_ = 0;
   // Durability (the "durability" snapshot section):
   bool durability_enabled_ = false;
   uint64_t wal_appends_ = 0;

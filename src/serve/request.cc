@@ -1,6 +1,7 @@
 #include "src/serve/request.h"
 
 #include <algorithm>
+#include <numeric>
 
 namespace grgad {
 namespace {
@@ -12,17 +13,25 @@ Status BadField(const char* field, const char* want) {
 
 }  // namespace
 
-std::string TopGroupsJson(std::vector<ScoredGroup> groups, int top) {
-  std::stable_sort(groups.begin(), groups.end(),
-                   [](const ScoredGroup& a, const ScoredGroup& b) {
-                     return a.score > b.score;
-                   });
+std::string TopGroupsJson(const std::vector<ScoredGroup>& groups, int top) {
+  // Only the rendered prefix is ordered, by (score descending, index
+  // ascending): the order a stable sort by descending score gives.
+  const size_t count =
+      std::min(groups.size(), top < 0 ? size_t{0} : static_cast<size_t>(top));
+  std::vector<size_t> order(groups.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::partial_sort(order.begin(), order.begin() + count, order.end(),
+                    [&groups](size_t a, size_t b) {
+                      const double sa = groups[a].score;
+                      const double sb = groups[b].score;
+                      return sa > sb || (!(sb > sa) && a < b);
+                    });
   JsonWriter json;
   json.Array();
-  const size_t limit = top < 0 ? 0 : static_cast<size_t>(top);
-  for (size_t i = 0; i < groups.size() && i < limit; ++i) {
-    json.Object().Key("score").Num(groups[i].score).Key("nodes").Array();
-    for (int node : groups[i].nodes) json.Int(node);
+  for (size_t k = 0; k < count; ++k) {
+    const ScoredGroup& group = groups[order[k]];
+    json.Object().Key("score").Num(group.score).Key("nodes").Array();
+    for (int node : group.nodes) json.Int(node);
     json.End().End();
   }
   return json.End().Take();

@@ -60,8 +60,8 @@ namespace grgad {
 
 /// Renders the `top` highest-scoring groups (stable among ties) as a JSON
 /// array of {"score": s, "nodes": [...]}, scores at round-trip precision.
-/// Serve replies and `grgad run --json` share it.
-std::string TopGroupsJson(std::vector<ScoredGroup> groups, int top);
+/// Serve replies and `grgad run --json` share it; it copies no group.
+std::string TopGroupsJson(const std::vector<ScoredGroup>& groups, int top);
 
 // ---- requests ---------------------------------------------------------------
 

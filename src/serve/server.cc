@@ -82,12 +82,8 @@ Status ServeDaemon::ReplayWalRecord(const WalRecord& record) {
       return Status::Ok();
     }
     case WalRecord::Kind::kRefresh: {
-      const std::vector<int> dirty = tracker_.TakeDirtyIndices();
-      Status status = RefreshArtifacts(dynamic_.PackedView(),
-                                       options_.pipeline, dirty,
-                                       &refresh_state_, &artifacts_);
-      if (!status.ok()) tracker_.MarkAll();
-      return status;
+      RefreshStats stats;
+      return RefreshResident(/*ctx=*/nullptr, &stats);
     }
     case WalRecord::Kind::kCompact: {
       dynamic_.Compact();
@@ -95,6 +91,45 @@ Status ServeDaemon::ReplayWalRecord(const WalRecord& record) {
     }
   }
   return Status::Internal("wal replay: unreachable record kind");
+}
+
+Status ServeDaemon::RefreshResident(RunContext* ctx, RefreshStats* stats) {
+  const std::vector<int> dirty = tracker_.TakeDirtyIndices();
+  // Every refresh call starts a new generation, whatever its outcome:
+  // nothing scored over the previous artifacts is served again.
+  ++generation_;
+  score_cache_.clear();
+  metrics_.RecordArtifactGeneration(generation_);
+  Status status = RefreshArtifacts(dynamic_.PackedView(), options_.pipeline,
+                                   dirty, &refresh_state_, &artifacts_, ctx,
+                                   stats);
+  if (!status.ok()) {
+    // The dirty marks were consumed but the refresh never landed;
+    // re-mark everything so the next refresh retries from scratch
+    // (RefreshArtifacts already unprimed its cache).
+    tracker_.MarkAll();
+    return status;
+  }
+  // The refresh scored the new artifacts through RunScoringStage, which
+  // reads only options.detector and options.seed
+  // (MakeOutlierDetector(detector, seed ^ 0x3)). RescoreArtifacts passes
+  // the same two over the same embeddings and groups, so the resident
+  // scores are bit for bit a rescore's at this key, and the entry can be
+  // artifacts_.scored_groups itself: seeding copies nothing.
+  if (!stats->scores_degraded) {
+    CachedScoring& entry = score_cache_[options_.pipeline.detector];
+    entry.seed = options_.pipeline.seed;
+    entry.resident = true;
+  }
+  return Status::Ok();
+}
+
+const std::vector<ScoredGroup>* ServeDaemon::CachedScores(
+    DetectorKind kind, uint64_t seed) const {
+  const auto it = score_cache_.find(kind);
+  if (it == score_cache_.end() || it->second.seed != seed) return nullptr;
+  return it->second.resident ? &artifacts_.scored_groups
+                             : &it->second.scored_groups;
 }
 
 Status ServeDaemon::EnableDurability(const LoadedServeSnapshot* snapshot) {
@@ -341,14 +376,33 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         }
         const uint64_t seed =
             request.has_seed ? request.seed : artifacts_.seed;
+        // A request whose deadline already passed takes the miss path,
+        // where the scoring stage answers DeadlineExceeded.
+        const std::vector<ScoredGroup>* cached =
+            ctx.cancelled() ? nullptr : CachedScores(kind, seed);
+        metrics_.RecordScoreLookup(cached != nullptr);
+        if (cached != nullptr) {
+          response = RenderScoredGroupsResponse(request.id, request.op,
+                                                *cached, request.top);
+          break;
+        }
         auto result = RescoreArtifacts(artifacts_, kind, seed, &ctx);
         if (!result.ok()) {
           status = result.status();
           response = RenderErrorResponse(request.id, request.op, status);
           break;
         }
+        ScoringStageOutput& scored = result.value();
         response = RenderScoredGroupsResponse(
-            request.id, request.op, result.value().scored_groups, request.top);
+            request.id, request.op, scored.scored_groups, request.top);
+        // An ok result is a complete fit (the scoring stage reports a stop
+        // as an error); only an undegraded one stands for (kind, seed).
+        if (!scored.degraded()) {
+          CachedScoring& entry = score_cache_[kind];
+          entry.seed = seed;
+          entry.resident = false;
+          entry.scored_groups = std::move(scored.scored_groups);
+        }
         break;
       }
       case ServeOp::kWhatIf: {
@@ -468,16 +522,9 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         break;
       }
       case ServeOp::kRefresh: {
-        const std::vector<int> dirty = tracker_.TakeDirtyIndices();
         RefreshStats rstats;
-        status = RefreshArtifacts(dynamic_.PackedView(), options_.pipeline,
-                                  dirty, &refresh_state_, &artifacts_, &ctx,
-                                  &rstats);
+        status = RefreshResident(&ctx, &rstats);
         if (!status.ok()) {
-          // The dirty marks were consumed but the refresh never landed;
-          // re-mark everything so the next refresh retries from scratch
-          // (RefreshArtifacts already unprimed its cache).
-          tracker_.MarkAll();
           response = RenderErrorResponse(request.id, request.op, status);
           break;
         }

@@ -29,6 +29,17 @@
 // running the same requests one-by-one through the stage functions, at any
 // GRGAD_THREADS and any admission order (tests/serve_test.cc).
 //
+// Scoring once per generation: the resident artifacts change only when a
+// refresh runs (live or replayed from the WAL), and every such call starts
+// a new artifact generation. Within a generation a rescore is a pure
+// function of (detector, seed), so its result is kept in a score cache
+// keyed by exactly that, one entry per detector kind (the latest seed
+// wins), cleared on every new generation; a rescore renders from a hit.
+// Errors, stopped runs and degraded ensemble results are never cached.
+// Like the arena, the cache is value-neutral: a rescore reply is still a
+// pure function of (request, resident artifacts, base options), byte for
+// byte what an uncached RescoreArtifacts would render.
+//
 // Failure isolation: each request runs under its own RunContext with its
 // own deadline; kDeadlineExceeded, injected faults ("serve/admit",
 // "serve/execute", and every stage/* point), and bad options become
@@ -40,6 +51,7 @@
 #define GRGAD_SERVE_SERVER_H_
 
 #include <atomic>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -144,6 +156,18 @@ class ServeDaemon {
   /// Replays one recovered WAL record through the live code paths.
   Status ReplayWalRecord(const WalRecord& record);
 
+  /// The refresh both live requests and WAL replay run: consumes the dirty
+  /// marks, starts a new artifact generation, and rewrites the resident
+  /// artifacts, filling `stats` (required). On success the refresh's own
+  /// scores seed the score cache; on failure every anchor is re-marked for
+  /// the next refresh.
+  Status RefreshResident(RunContext* ctx, RefreshStats* stats);
+
+  /// The cached scores for (kind, seed) in the current generation, or
+  /// nullptr on a miss.
+  const std::vector<ScoredGroup>* CachedScores(DetectorKind kind,
+                                               uint64_t seed) const;
+
   /// Cadence check after an applied mutation: snapshot failures degrade to
   /// a durability-error counter (the WAL still covers the session), never
   /// a request failure.
@@ -159,6 +183,16 @@ class ServeDaemon {
   AnchorDirtyTracker tracker_;
   RefreshState refresh_state_;
   MatrixArena arena_;  ///< Warm training buffers shared across requests.
+  // The score cache (executor-thread-only): the artifact generation, and
+  // per detector kind the scores of its latest cached seed. An entry with
+  // `resident` set is artifacts_.scored_groups itself, seeded by a refresh.
+  struct CachedScoring {
+    uint64_t seed = 0;
+    bool resident = false;
+    std::vector<ScoredGroup> scored_groups;
+  };
+  uint64_t generation_ = 0;
+  std::map<DetectorKind, CachedScoring> score_cache_;
   // Durability (executor-thread-only, like the mutation state): the WAL
   // every applied mutation/refresh/compact lands in before its ack, and
   // the mutation count driving the snapshot cadence.

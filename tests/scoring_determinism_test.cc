@@ -9,6 +9,7 @@
 //     (the references compute the full matrix twice);
 //   - sharing one NeighborIndex across ensemble members changes nothing.
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <string>
 #include <vector>
@@ -94,12 +95,27 @@ TEST(ScoringDeterminismTest, EcodBitwiseEqualsReference) {
   // reference's exact accumulation — so it is bitwise, not merely rank,
   // identical (the pipeline's default detector must not move). The
   // degenerate shapes (one sample, one column) take the same path.
+  // Ties take the run walk over the sorted column: the rounded copy makes
+  // long runs of equal values (±0 among them), and the constant columns are
+  // one run each.
   Ecod ecod;
   const Matrix planted = PlantedEmbeddings(103);
+  Matrix ties = planted;
+  for (size_t i = 0; i < ties.rows(); ++i) {
+    for (size_t j = 0; j < ties.cols(); ++j) {
+      ties(i, j) = std::round(ties(i, j) * 0.5) * 2.0;
+    }
+  }
+  Matrix constant(70, 5);
+  for (size_t i = 0; i < constant.rows(); ++i) {
+    for (size_t j = 0; j < constant.cols(); ++j) {
+      constant(i, j) = static_cast<double>(j) - 2.0;
+    }
+  }
   Rng rng(3);
   for (const Matrix& x :
-       {planted, Matrix::Gaussian(1, 6, &rng), Matrix::Gaussian(40, 1, &rng),
-        Matrix::Gaussian(1, 1, &rng)}) {
+       {planted, ties, constant, Matrix::Gaussian(1, 6, &rng),
+        Matrix::Gaussian(40, 1, &rng), Matrix::Gaussian(1, 1, &rng)}) {
     for (int degree : {1, 4}) {
       ScopedDegree scoped(degree);
       EXPECT_EQ(ecod.FitScore(x), reference::EcodFitScore(x))

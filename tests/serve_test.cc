@@ -8,7 +8,9 @@
 //   3. steady-state zero-alloc — serve.prewarm_workspaces pre-grows the
 //      traversal pools so the first request allocates no workspace memory,
 //   4. graceful drain — a shutdown request stops admissions but every
-//      already-admitted request still answers, in order.
+//      already-admitted request still answers, in order,
+//   5. the score cache is value-neutral — every rescore reply equals an
+//      uncached RescoreArtifacts over the resident artifacts at that point.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -437,6 +439,27 @@ TEST(ServeTest, TopGroupsJsonRanksAndKeepsFullPrecision) {
             R"({"score": 137.03549252268289, "nodes": [4, 2]}])");
 }
 
+TEST(ServeTest, TopGroupsJsonOrdersTiesLikeAStableSort) {
+  // Only the rendered prefix is ordered; ties (±0 among them) must keep
+  // input order, exactly as a stable sort of every group would.
+  const double kScores[] = {0.5, 1.0, -0.0, 0.0, 1.0, 0.5};
+  std::vector<ScoredGroup> groups;
+  for (int i = 0; i < 40; ++i) {
+    groups.push_back({{i}, kScores[(i * 7) % std::size(kScores)]});
+  }
+  std::vector<ScoredGroup> sorted = groups;
+  std::stable_sort(sorted.begin(), sorted.end(),
+                   [](const ScoredGroup& a, const ScoredGroup& b) {
+                     return a.score > b.score;
+                   });
+  for (int top : {0, 1, 7, 40, 45}) {
+    std::vector<ScoredGroup> prefix(
+        sorted.begin(),
+        sorted.begin() + std::min<size_t>(top, sorted.size()));
+    EXPECT_EQ(TopGroupsJson(groups, top), TopGroupsJson(prefix, top)) << top;
+  }
+}
+
 // Fixed inputs for the reply pins and round trips: every ranking edge
 // value (±0 as -0, the smallest denormal, DBL_MAX) and an empty group.
 std::vector<ScoredGroup> EdgeScoredGroups() {
@@ -843,6 +866,187 @@ TEST(ServeTest, MutationSessionRefreshesAndReportsMetrics) {
   EXPECT_EQ(daemon->dynamic_graph().num_edges(),
             TestDataset().graph.num_edges());
   EXPECT_EQ(daemon->dynamic_graph().stats().compactions, 1u);
+}
+
+// ---- the (detector, seed) score cache ---------------------------------------
+
+/// Runs one request line through the daemon's synchronous Execute path.
+std::string Execute(ServeDaemon* daemon, const std::string& line) {
+  auto request = ParseServeRequest(line);
+  EXPECT_TRUE(request.ok()) << line;
+  return request.ok() ? daemon->Execute(request.value()) : "";
+}
+
+/// The reply an uncached rescore renders over the daemon's artifacts now.
+std::string FreshRescore(const ServeDaemon& daemon, const std::string& line) {
+  auto request = ParseServeRequest(line);
+  EXPECT_TRUE(request.ok()) << line;
+  DetectorKind kind;
+  EXPECT_TRUE(ParseDetectorKind(request.value().detector, &kind)) << line;
+  const uint64_t seed = request.value().has_seed
+                            ? request.value().seed
+                            : daemon.artifacts().seed;
+  auto result = RescoreArtifacts(daemon.artifacts(), kind, seed);
+  if (!result.ok()) {
+    return RenderErrorResponse(request.value().id, ServeOp::kRescore,
+                               result.status());
+  }
+  return RenderScoredGroupsResponse(request.value().id, ServeOp::kRescore,
+                                    result.value().scored_groups,
+                                    request.value().top);
+}
+
+/// {generation, hits, misses} from the daemon's scoring_cache block.
+std::vector<int64_t> CacheCounters(const ServeDaemon& daemon) {
+  auto metrics = ParseJsonText(daemon.MetricsJson());
+  EXPECT_TRUE(metrics.ok());
+  if (!metrics.ok()) return {};
+  const JsonValue* cache = metrics.value().Find("scoring_cache");
+  EXPECT_NE(cache, nullptr);
+  if (cache == nullptr) return {};
+  return {IntMember(*cache, "generation"), IntMember(*cache, "hits"),
+          IntMember(*cache, "misses")};
+}
+
+std::pair<int, int> AbsentEdge() {
+  const Graph& graph = TestDataset().graph;
+  for (int a = 0; a < graph.num_nodes(); ++a) {
+    for (int b = a + 1; b < graph.num_nodes(); ++b) {
+      if (!graph.HasEdge(a, b)) return {a, b};
+    }
+  }
+  return {-1, -1};
+}
+
+TEST(ServeTest, RescoreCacheRepliesEqualUncachedScoring) {
+  const auto [u, v] = AbsentEdge();
+  ASSERT_GE(u, 0);
+  const std::string edge =
+      ", \"u\": " + std::to_string(u) + ", \"v\": " + std::to_string(v) + "}";
+  // Each rescore is annotated with whether the cache must answer it; the
+  // default seed is the artifacts' (42), which is also the base options'
+  // seed and ecod their detector, so a refresh seeds (ecod, 42).
+  struct Step {
+    std::string line;
+    bool hit = false;
+  };
+  const std::vector<Step> script = {
+      {R"({"id": 1, "op": "rescore", "detector": "ecod", "top": 4})"},
+      {R"({"id": 2, "op": "rescore", "detector": "ecod", "top": 6})", true},
+      {R"({"id": 3, "op": "rescore", "detector": "knn", "seed": 7})"},
+      {R"({"id": 4, "op": "rescore", "detector": "knn", "seed": 7})", true},
+      {R"({"id": 5, "op": "rescore", "detector": "iforest", "seed": 3})"},
+      // One entry per kind: seed 4 evicts seed 3.
+      {R"({"id": 6, "op": "rescore", "detector": "iforest", "seed": 4})"},
+      {R"({"id": 7, "op": "rescore", "detector": "iforest", "seed": 3})"},
+      {R"({"id": 8, "op": "rescore", "detector": "ensemble", "top": 3})"},
+      {R"({"id": 9, "op": "rescore", "detector": "knn", "seed": 7})", true},
+      // A mutation marks anchors but leaves the artifacts as they are.
+      {"{\"id\": 10, \"op\": \"add-edge\"" + edge},
+      {R"({"id": 11, "op": "rescore", "detector": "ecod"})", true},
+      {R"({"id": 12, "op": "what-if", "min_size": 3, "top": 3})"},
+      {R"({"id": 13, "op": "refresh", "top": 3})"},
+      // The refresh's own scores answer the default rescore.
+      {R"({"id": 14, "op": "rescore", "detector": "ecod", "top": 5})", true},
+      {R"({"id": 15, "op": "rescore", "detector": "knn", "seed": 7})"},
+      {R"({"id": 16, "op": "rescore", "detector": "knn", "seed": 7})", true},
+      // An expired deadline is never answered from the cache.
+      {R"({"id": 17, "op": "rescore", "detector": "knn", "seed": 7, )"
+       R"("timeout": 1e-9})"},
+      {"{\"id\": 18, \"op\": \"remove-edge\"" + edge},
+      // Fails: the injected fault stops its pooled embedding.
+      {R"({"id": 19, "op": "refresh", "top": 3})"},
+      {R"({"id": 20, "op": "rescore", "detector": "knn", "seed": 7})"},
+      {R"({"id": 21, "op": "rescore", "detector": "ecod"})"},
+      {R"({"id": 22, "op": "rescore", "detector": "ecod"})", true},
+      {R"({"id": 23, "op": "refresh", "top": 3})"},
+      {R"({"id": 24, "op": "rescore", "detector": "ecod", "seed": 42})", true},
+      {R"({"id": 25, "op": "rescore", "detector": "mad", "top": 2})"},
+  };
+  for (const int degree : {1, 4}) {
+    testing::ScopedDegree scoped(degree);
+    auto daemon = MakeDaemon(QuickOptions());
+    int64_t hits = 0, misses = 0;
+    for (const Step& step : script) {
+      const bool rescore = step.line.find("\"rescore\"") != std::string::npos;
+      const bool failing = step.line.find("\"id\": 19,") != std::string::npos;
+      const std::string want =
+          rescore ? FreshRescore(*daemon, step.line) : std::string();
+      if (failing) {
+        ASSERT_TRUE(
+            FaultInjector::Global().Configure("stage/embedding=1.0").ok());
+      }
+      const std::string got = Execute(daemon.get(), step.line);
+      if (failing) {
+        FaultInjector::Global().Disable();
+        EXPECT_NE(got.find("\"status\": \"Internal\""), std::string::npos)
+            << got;
+      } else if (step.line.find("timeout") != std::string::npos) {
+        EXPECT_NE(got.find("\"status\": \"DeadlineExceeded\""),
+                  std::string::npos)
+            << got;
+      } else {
+        EXPECT_TRUE(ResponseOk(got)) << got;
+        if (rescore) {
+          EXPECT_EQ(got, want) << "degree " << degree;
+        }
+      }
+      if (rescore) ++(step.hit ? hits : misses);
+      const std::vector<int64_t> counters = CacheCounters(*daemon);
+      ASSERT_EQ(counters.size(), 3u);
+      EXPECT_EQ(counters[1], hits) << step.line;
+      EXPECT_EQ(counters[2], misses) << step.line;
+    }
+    EXPECT_EQ(hits, 8);
+    EXPECT_EQ(misses, 11);
+    // Three refresh calls, the failed one included, each a new generation.
+    EXPECT_EQ(CacheCounters(*daemon)[0], 3);
+  }
+}
+
+TEST(ServeTest, RescoreCacheSkipsDegradedEnsemble) {
+  const std::string line =
+      R"({"id": 1, "op": "rescore", "detector": "ensemble", "top": 8})";
+  auto daemon = MakeDaemon(QuickOptions());
+  const std::string clean = FreshRescore(*daemon, line);
+
+  // Every member failing is a stage error: nothing to cache.
+  ASSERT_TRUE(FaultInjector::Global().Configure("od/ensemble-member=1").ok());
+  const std::string failed = Execute(daemon.get(), line);
+  FaultInjector::Global().Disable();
+  EXPECT_NE(failed.find("\"status\": \"Internal\""), std::string::npos)
+      << failed;
+
+  // Some members failing answers ok from the survivors; that ranking does
+  // not stand for (ensemble, seed) either.
+  std::string spec;
+  std::string degraded;
+  const PipelineArtifacts& artifacts = daemon->artifacts();
+  for (uint64_t seed = 0; seed < 200 && spec.empty(); ++seed) {
+    const std::string candidate =
+        "seed=" + std::to_string(seed) + ",od/ensemble-member=0.5";
+    ASSERT_TRUE(FaultInjector::Global().Configure(candidate).ok());
+    auto result = RescoreArtifacts(artifacts, DetectorKind::kEnsemble,
+                                   artifacts.seed);
+    if (result.ok() && result.value().degraded()) {
+      spec = candidate;
+      degraded = RenderScoredGroupsResponse(1, ServeOp::kRescore,
+                                            result.value().scored_groups, 8);
+    }
+  }
+  FaultInjector::Global().Disable();
+  ASSERT_FALSE(spec.empty()) << "no fault seed degraded the ensemble";
+  ASSERT_NE(degraded, clean);
+  ASSERT_TRUE(FaultInjector::Global().Configure(spec).ok());
+  EXPECT_EQ(Execute(daemon.get(), line), degraded);
+  FaultInjector::Global().Disable();
+
+  // With the injector off the next rescore refits (a miss) and matches a
+  // fresh fit; only then does the cache answer.
+  EXPECT_EQ(Execute(daemon.get(), line), clean);
+  EXPECT_EQ(CacheCounters(*daemon), (std::vector<int64_t>{0, 0, 3}));
+  EXPECT_EQ(Execute(daemon.get(), line), clean);
+  EXPECT_EQ(CacheCounters(*daemon), (std::vector<int64_t>{0, 1, 3}));
 }
 
 TEST(ServeTest, ArtifactLoadRetryableClassifiesTheCommitWindow) {

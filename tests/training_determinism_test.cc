@@ -232,6 +232,10 @@ TEST(TrainingDeterminismTest, GroupGoldensExerciseTheCap) {
 //    node tests in tests/autograd_test.cc still cover every build.
 // kTpgcl alone was captured later, from the factorized, fused MINE critic
 // (src/gcl/mine.cc), which sums the same pair terms in another order.
+// The #if tells the two sets apart by ISA macros alone, so it assumes
+// unsanitized GCC -O3 codegen: sanitizer instrumentation moves the FMA
+// bytes, which is why -DGRGAD_SANITIZE=ON builds without -march=native
+// and lands on the portable set.
 #if defined(__AVX512F__) || !defined(__FMA__)
 TEST(TrainingDeterminismTest, MatchesPreArenaGoldenBytes) {
 #if defined(__AVX512F__)
