@@ -8,7 +8,7 @@
 // copies vs SubgraphViews), the scoring stage (the standalone reference
 // detectors vs the GEMM/parallel product code), the tensor kernels on the
 // training-hot shapes vs their serial references, the resident daemon's
-// round-trip latency, the mutation path (slack-CSR apply, ball
+// round-trip latency, the mutation path (packed-CSR splice, ball
 // invalidation, dirty-anchor incremental refresh vs full recompute), and
 // durability (WAL, snapshot, replay vs rebuild) — and writes the results
 // to bench_results/micro.json (schema in PERF.md), giving every change a
@@ -837,8 +837,9 @@ std::vector<MutationResult> MeasureMutations() {
     }
   };
 
-  // apply_edge: one add+remove round trip on the slack CSR vs the pre-PR
-  // equivalent, a from-scratch GraphBuilder rebuild of the mutated graph.
+  // apply_edge: one add+remove round trip spliced into the packed CSR vs
+  // the pre-PR equivalent, a from-scratch GraphBuilder rebuild of the
+  // mutated graph.
   {
     DynamicGraph dg(g);
     MutationResult r;
@@ -869,7 +870,7 @@ std::vector<MutationResult> MeasureMutations() {
     r.shape = "n=8000,anchors=8000,r=3";
     int fanout = 0;
     r.opt_ms = MedianMs([&] {
-      fanout = tracker.MarkFromEdge(dg, mu, mv);
+      fanout = tracker.MarkFromEdge(dg.PackedView(), mu, mv);
       benchmark::DoNotOptimize(fanout);
     });
     r.fanout = static_cast<double>(fanout);
@@ -909,9 +910,9 @@ std::vector<MutationResult> MeasureMutations() {
       // removes before — the tracker's soundness contract).
       if (add_next) {
         dg.AddEdge(mu, mv);
-        tracker.MarkFromEdge(dg, mu, mv);
+        tracker.MarkFromEdge(dg.PackedView(), mu, mv);
       } else {
-        tracker.MarkFromEdge(dg, mu, mv);
+        tracker.MarkFromEdge(dg.PackedView(), mu, mv);
         dg.RemoveEdge(mu, mv);
       }
       add_next = !add_next;
@@ -1044,8 +1045,7 @@ std::vector<MutationResult> MeasureDurability() {
     return results;
   }
   ServeStateSnapshot serve_state;
-  serve_state.refresh_primed = refresh_state.primed;
-  serve_state.refresh_per_anchor = refresh_state.per_anchor;
+  serve_state.refresh = std::move(refresh_state);
 
   // snapshot: one atomic SaveServeSnapshot of the full serving state
   // (packed CSR + artifacts + refresh cache), staged + fsynced + renamed.
@@ -1174,7 +1174,7 @@ void WriteMicroJson() {
   std::printf("Serve round-trip (resident daemon, rescore over a local "
               "pipe), GRGAD_THREADS=%d\n", ParallelismDegree());
   const std::vector<ServeResult> serve = MeasureServeRoundTrip();
-  std::printf("Mutation fast path (slack-CSR apply / ball invalidation / "
+  std::printf("Mutation fast path (packed-CSR splice / ball invalidation / "
               "incremental refresh vs full recompute), GRGAD_THREADS=%d\n",
               ParallelismDegree());
   const std::vector<MutationResult> mutations = MeasureMutations();

@@ -13,28 +13,13 @@ bool Stopped(const RunContext* ctx) {
   return ctx != nullptr && ctx->cancelled();
 }
 
-/// Stop status typed by why the token fired (mirrors the stage layer).
-Status StopStatus(const RunContext* ctx) {
-  const StopReason reason =
-      ctx != nullptr ? ctx->stop_reason() : StopReason::kCancelled;
-  switch (reason) {
-    case StopReason::kDeadlineExceeded:
-      return Status::DeadlineExceeded("deadline exceeded during refresh");
-    case StopReason::kResourceExhausted:
-      return Status::ResourceExhausted(
-          "resource budget exhausted during refresh");
-    default:
-      return Status::Cancelled("run cancelled during refresh");
-  }
-}
-
 }  // namespace
 
 Status RefreshArtifacts(const Graph& g, const TpGrGadOptions& options,
                         const std::vector<int>& dirty_indices,
                         RefreshState* state, PipelineArtifacts* artifacts,
                         RunContext* ctx, RefreshStats* stats) {
-  if (Stopped(ctx)) return StopStatus(ctx);
+  if (Stopped(ctx)) return StopStatus(ctx, "refresh");
   if (Status fault = FaultInjector::Global().Check("stage/refresh",
                                                    StatusCode::kInternal);
       !fault.ok()) {
@@ -61,7 +46,7 @@ Status RefreshArtifacts(const Graph& g, const TpGrGadOptions& options,
   if (Stopped(ctx)) {
     // The cache may hold a partial fan-out; do not trust it next time.
     state->primed = false;
-    return StopStatus(ctx);
+    return StopStatus(ctx, "refresh");
   }
   std::vector<std::vector<int>> groups =
       sampler.FinalizeCandidates(g, anchors, state->per_anchor);

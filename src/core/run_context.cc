@@ -4,6 +4,20 @@
 
 namespace grgad {
 
+Status StopStatus(const RunContext* ctx, const std::string& activity) {
+  const StopReason reason =
+      ctx != nullptr ? ctx->stop_reason() : StopReason::kCancelled;
+  switch (reason) {
+    case StopReason::kDeadlineExceeded:
+      return Status::DeadlineExceeded("deadline exceeded during " + activity);
+    case StopReason::kResourceExhausted:
+      return Status::ResourceExhausted("resource budget exhausted during " +
+                                       activity);
+    default:
+      return Status::Cancelled("run cancelled during " + activity);
+  }
+}
+
 void RunContext::AppendTiming(const std::string& stage, double seconds) {
   std::lock_guard<std::mutex> lock(timings_mu_);
   timings_.push_back({stage, seconds});

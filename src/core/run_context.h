@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/util/cancel.h"
+#include "src/util/status.h"
 #include "src/util/timer.h"
 
 namespace grgad {
@@ -102,6 +103,12 @@ class RunContext {
   mutable std::mutex timings_mu_;
   std::vector<StageTiming> timings_;
 };
+
+/// Status for a run stopped during `activity` (e.g. "anchor stage",
+/// "refresh"), typed by why it stopped: SIGINT/SIGTERM -> kCancelled,
+/// --timeout -> kDeadlineExceeded, arena budget -> kResourceExhausted. A
+/// null context reads as cancelled.
+Status StopStatus(const RunContext* ctx, const std::string& activity);
 
 /// RAII stage bracket: emits the started event on construction and records
 /// timing + emits the finished event on destruction. Null-context safe.

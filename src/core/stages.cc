@@ -14,26 +14,6 @@ bool Stopped(const RunContext* ctx) {
   return ctx != nullptr && ctx->cancelled();
 }
 
-/// Status for a run stopped during `stage`, typed by why it stopped:
-/// SIGINT/SIGTERM -> kCancelled, --timeout -> kDeadlineExceeded, arena
-/// budget -> kResourceExhausted.
-Status StopStatusIn(const RunContext* ctx, const char* stage) {
-  const StopReason reason =
-      ctx != nullptr ? ctx->stop_reason() : StopReason::kCancelled;
-  switch (reason) {
-    case StopReason::kDeadlineExceeded:
-      return Status::DeadlineExceeded(
-          std::string("deadline exceeded during ") + stage + " stage");
-    case StopReason::kResourceExhausted:
-      return Status::ResourceExhausted(
-          std::string("resource budget exhausted during ") + stage +
-          " stage");
-    default:
-      return Status::Cancelled(std::string("run cancelled during ") + stage +
-                               " stage");
-  }
-}
-
 /// Injected stage-boundary fault (no-op unless GRGAD_FAULTS / --inject).
 Status StageFault(const char* point) {
   return FaultInjector::Global().Check(point, StatusCode::kInternal);
@@ -59,14 +39,14 @@ Result<AnchorStageOutput> RunAnchorStage(const Graph& g,
     // GAE training needs structure pairs to reconstruct.
     return Status::InvalidArgument("anchor stage: graph has no edges");
   }
-  if (Stopped(ctx)) return StopStatusIn(ctx, "anchor");
+  if (Stopped(ctx)) return StopStatus(ctx, "anchor stage");
   if (Status fault = StageFault("stage/anchors"); !fault.ok()) return fault;
   StageScope scope(ctx, "anchors");
   MhGaeOptions mh_options = options.mh_gae;
   if (ctx != nullptr) mh_options.base.cancel = ctx->cancel_token();
   MhGae mh_gae(mh_options);
   MhGaeResult gae = mh_gae.FitAnchors(g);
-  if (Stopped(ctx)) return StopStatusIn(ctx, "anchor");
+  if (Stopped(ctx)) return StopStatus(ctx, "anchor stage");
   AnchorStageOutput out;
   out.anchors = std::move(gae.anchors);
   out.node_errors = std::move(gae.gae.node_errors);
@@ -79,7 +59,7 @@ Result<CandidateStageOutput> RunCandidateStage(const Graph& g,
                                                const std::vector<int>& anchors,
                                                const TpGrGadOptions& options,
                                                RunContext* ctx) {
-  if (Stopped(ctx)) return StopStatusIn(ctx, "sampling");
+  if (Stopped(ctx)) return StopStatus(ctx, "sampling stage");
   if (Status fault = StageFault("stage/sampling"); !fault.ok()) return fault;
   StageScope scope(ctx, "sampling");
   GroupSamplerOptions sampler_options = options.sampler;
@@ -98,7 +78,7 @@ Result<CandidateStageOutput> RunCandidateStage(const Graph& g,
     ctx->RecordSubStage("candidates/components", telemetry.components_seconds);
     ctx->RecordSubStage("candidates/select", telemetry.select_seconds);
   }
-  if (Stopped(ctx)) return StopStatusIn(ctx, "sampling");
+  if (Stopped(ctx)) return StopStatus(ctx, "sampling stage");
   GRGAD_LOG(kDebug) << "pipeline: " << out.groups.size()
                     << " candidate groups";
   return out;
@@ -115,7 +95,7 @@ Result<EmbeddingStageOutput> RunEmbeddingStage(
   if (!g.has_attributes()) {
     return Status::InvalidArgument("embedding stage: graph has no attributes");
   }
-  if (Stopped(ctx)) return StopStatusIn(ctx, "embedding");
+  if (Stopped(ctx)) return StopStatus(ctx, "embedding stage");
   if (Status fault = StageFault("stage/embedding"); !fault.ok()) return fault;
   StageScope scope(ctx, "embedding");
   EmbeddingStageOutput out;
@@ -139,7 +119,7 @@ Result<EmbeddingStageOutput> RunEmbeddingStage(
     if (ctx != nullptr) tpgcl_options.cancel = ctx->cancel_token();
     Tpgcl tpgcl(tpgcl_options);
     TpgclResult result = tpgcl.FitEmbed(g, groups);
-    if (Stopped(ctx)) return StopStatusIn(ctx, "embedding");
+    if (Stopped(ctx)) return StopStatus(ctx, "embedding stage");
     out.embeddings = std::move(result.embeddings);
     out.loss_history = std::move(result.loss_history);
   }
@@ -157,7 +137,7 @@ Result<ScoringStageOutput> RunScoringStage(
   if (embeddings.rows() == 0) {
     return Status::FailedPrecondition("scoring stage: nothing to score");
   }
-  if (Stopped(ctx)) return StopStatusIn(ctx, "scoring");
+  if (Stopped(ctx)) return StopStatus(ctx, "scoring stage");
   if (Status fault = StageFault("stage/scoring"); !fault.ok()) return fault;
   StageScope scope(ctx, "scoring");
   auto detector = MakeOutlierDetector(options.detector, options.seed ^ 0x3);
@@ -184,7 +164,7 @@ Result<ScoringStageOutput> RunScoringStage(
     StageScope detect_scope(profile_ctx, "scoring/detect");
     out.scores = detector->FitScore(embeddings);
   }
-  if (Stopped(ctx)) return StopStatusIn(ctx, "scoring");
+  if (Stopped(ctx)) return StopStatus(ctx, "scoring stage");
   // Ensemble degradation surface: keep the per-member outcomes, and treat
   // a fully-failed ensemble as a stage error (the all-zero scores it
   // returns carry no ranking signal).

@@ -160,168 +160,36 @@ Result<Graph> ParseGraphSnapshot(const std::string& text) {
   return builder.Build(std::move(attrs));
 }
 
-DynamicGraph::DynamicGraph(const Graph& base) {
-  num_nodes_ = base.num_nodes();
-  num_edges_ = base.num_edges();
-  degree_.resize(num_nodes_);
-  row_start_.resize(num_nodes_ + 1);
-  row_start_[0] = 0;
-  for (int v = 0; v < num_nodes_; ++v) {
-    degree_[v] = base.Degree(v);
-    row_start_[v + 1] = row_start_[v] + degree_[v] + kRowSlack;
+void DynamicGraph::SpliceHalfEdge(int a, int b, bool add) {
+  std::vector<int>& offsets = graph_.offsets_;
+  std::vector<int>& adj = graph_.adj_;
+  const auto pos = std::lower_bound(adj.begin() + offsets[a],
+                                    adj.begin() + offsets[a + 1], b);
+  if (add) {
+    adj.insert(pos, b);
+  } else {
+    GRGAD_DCHECK(pos != adj.begin() + offsets[a + 1] && *pos == b);
+    adj.erase(pos);
   }
-  adj_.assign(row_start_[num_nodes_], 0);
-  for (int v = 0; v < num_nodes_; ++v) {
-    auto nb = base.Neighbors(v);
-    std::copy(nb.begin(), nb.end(), adj_.begin() + row_start_[v]);
-  }
-  packed_ = base;
-  packed_applied_ = 0;
-}
-
-bool DynamicGraph::HasEdge(int u, int v) const {
-  if (u < 0 || v < 0 || u >= num_nodes_ || v >= num_nodes_) return false;
-  auto nb = Neighbors(u);
-  return std::binary_search(nb.begin(), nb.end(), v);
-}
-
-void DynamicGraph::Regrow(int slack) {
-  std::vector<int> new_start(num_nodes_ + 1);
-  new_start[0] = 0;
-  for (int v = 0; v < num_nodes_; ++v) {
-    new_start[v + 1] = new_start[v] + degree_[v] + slack;
-  }
-  std::vector<int> new_adj(new_start[num_nodes_], 0);
-  for (int v = 0; v < num_nodes_; ++v) {
-    std::copy(adj_.begin() + row_start_[v],
-              adj_.begin() + row_start_[v] + degree_[v],
-              new_adj.begin() + new_start[v]);
-  }
-  row_start_ = std::move(new_start);
-  adj_ = std::move(new_adj);
-  ++stats_.regrows;
-}
-
-void DynamicGraph::InsertHalfEdge(int v, int w) {
-  if (degree_[v] == RowCapacity(v)) Regrow(kRowSlack);
-  int* row = adj_.data() + row_start_[v];
-  int* end = row + degree_[v];
-  int* pos = std::lower_bound(row, end, w);
-  std::copy_backward(pos, end, end + 1);
-  *pos = w;
-  ++degree_[v];
-}
-
-void DynamicGraph::EraseHalfEdge(int v, int w) {
-  int* row = adj_.data() + row_start_[v];
-  int* end = row + degree_[v];
-  int* pos = std::lower_bound(row, end, w);
-  GRGAD_DCHECK(pos != end && *pos == w);
-  std::copy(pos + 1, end, pos);
-  --degree_[v];
+  const int shift = add ? 1 : -1;
+  for (size_t w = a + 1; w < offsets.size(); ++w) offsets[w] += shift;
 }
 
 bool DynamicGraph::AddEdge(int u, int v) {
-  if (u < 0 || v < 0 || u >= num_nodes_ || v >= num_nodes_ || u == v) {
+  if (u < 0 || v < 0 || u >= num_nodes() || v >= num_nodes() || u == v ||
+      HasEdge(u, v)) {
     return false;
   }
-  if (HasEdge(u, v)) return false;
-  InsertHalfEdge(u, v);
-  InsertHalfEdge(v, u);
-  ++num_edges_;
-  log_.push_back({GraphMutation::Kind::kAddEdge, std::min(u, v),
-                  std::max(u, v)});
-  ++stats_.edges_added;
+  SpliceHalfEdge(u, v, /*add=*/true);
+  SpliceHalfEdge(v, u, /*add=*/true);
   return true;
 }
 
 bool DynamicGraph::RemoveEdge(int u, int v) {
   if (!HasEdge(u, v)) return false;
-  EraseHalfEdge(u, v);
-  EraseHalfEdge(v, u);
-  --num_edges_;
-  log_.push_back({GraphMutation::Kind::kRemoveEdge, std::min(u, v),
-                  std::max(u, v)});
-  ++stats_.edges_removed;
+  SpliceHalfEdge(u, v, /*add=*/false);
+  SpliceHalfEdge(v, u, /*add=*/false);
   return true;
-}
-
-void DynamicGraph::Compact() {
-  Regrow(kRowSlack);
-  --stats_.regrows;  // Regrow() counted it; bill it as a compaction instead.
-  ++stats_.compactions;
-  (void)PackedView();  // Fold the pending delta into the cached view first.
-  log_.clear();
-  packed_applied_ = 0;
-}
-
-void DynamicGraph::ApplyPackedEdgeDelta(const GraphMutation& m) const {
-  std::vector<int>& offsets = packed_.offsets_;
-  std::vector<int>& adj = packed_.adj_;
-  auto insert_half = [&](int a, int b) {
-    auto pos = std::lower_bound(adj.begin() + offsets[a],
-                                adj.begin() + offsets[a + 1], b);
-    adj.insert(pos, b);
-    for (size_t w = a + 1; w < offsets.size(); ++w) ++offsets[w];
-  };
-  auto erase_half = [&](int a, int b) {
-    auto pos = std::lower_bound(adj.begin() + offsets[a],
-                                adj.begin() + offsets[a + 1], b);
-    GRGAD_DCHECK(pos != adj.begin() + offsets[a + 1] && *pos == b);
-    adj.erase(pos);
-    for (size_t w = a + 1; w < offsets.size(); ++w) --offsets[w];
-  };
-  if (m.kind == GraphMutation::Kind::kAddEdge) {
-    insert_half(m.u, m.v);
-    insert_half(m.v, m.u);
-  } else {
-    erase_half(m.u, m.v);
-    erase_half(m.v, m.u);
-  }
-}
-
-const Graph& DynamicGraph::PackedView() const {
-  if (packed_applied_ == log_.size()) return packed_;
-  // Replay the pending log as sorted splices into the cached CSR — O(E)
-  // memmoves per mutation instead of an O(E log E) builder pass, and
-  // bitwise the same Graph because a packed CSR is uniquely determined by
-  // its edge set.
-  for (size_t i = packed_applied_; i < log_.size(); ++i) {
-    ApplyPackedEdgeDelta(log_[i]);
-  }
-  packed_applied_ = log_.size();
-  return packed_;
-}
-
-Status DynamicGraph::Validate() const {
-  if (row_start_.size() != static_cast<size_t>(num_nodes_) + 1 ||
-      degree_.size() != static_cast<size_t>(num_nodes_)) {
-    return Status::Internal("dynamic graph: offset/degree size mismatch");
-  }
-  int64_t half_edges = 0;
-  for (int v = 0; v < num_nodes_; ++v) {
-    if (degree_[v] < 0 || degree_[v] > RowCapacity(v)) {
-      return Status::Internal("dynamic graph: degree exceeds row capacity");
-    }
-    auto nb = Neighbors(v);
-    for (size_t i = 0; i < nb.size(); ++i) {
-      if (nb[i] < 0 || nb[i] >= num_nodes_) {
-        return Status::Internal("dynamic graph: neighbor id out of range");
-      }
-      if (nb[i] == v) return Status::Internal("dynamic graph: self-loop");
-      if (i > 0 && nb[i] <= nb[i - 1]) {
-        return Status::Internal("dynamic graph: row not strictly sorted");
-      }
-      if (!HasEdge(nb[i], v)) {
-        return Status::Internal("dynamic graph: asymmetric edge");
-      }
-    }
-    half_edges += degree_[v];
-  }
-  if (half_edges != 2 * static_cast<int64_t>(num_edges_)) {
-    return Status::Internal("dynamic graph: edge count mismatch");
-  }
-  return Status::Ok();
 }
 
 }  // namespace grgad

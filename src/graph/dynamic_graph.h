@@ -1,26 +1,15 @@
 // Mutable graph layer for serving under live traffic.
 //
-// `Graph` is deliberately immutable: every consumer (traversals, the
-// sampler, GraphSNN, the GCN operators) assumes frozen sorted CSR rows. A
-// DynamicGraph keeps that world intact while absorbing edge insertions and
-// deletions from a running daemon:
-//
-//  - Mutations apply to a slack CSR: each row owns a capacity range in one
-//    flat adjacency array, entries stay sorted, and inserts/erases memmove
-//    within the row's slack. When a row overflows its slack the whole CSR
-//    regrows with fresh headroom (an amortized compaction event, counted in
-//    stats). Neighbors/Degree/HasEdge/ForEachEdge expose exactly the
-//    immutable Graph's contract — sorted spans, u < v edge streaming in
-//    ForEachEdge order — so the templated algorithms (BuildBfsTree,
-//    CyclesThrough, ShortestPath) run on a DynamicGraph unmodified.
-//  - Every applied mutation is appended to a delta log, the record a
-//    dirty-region tracker or replication consumer replays; Compact()
-//    rebuilds uniform slack and truncates the log.
-//  - PackedView() lazily compacts into a canonical immutable Graph —
-//    bitwise identical (offsets, adjacency, attributes) to what
-//    GraphBuilder would build from the current edge set — and caches it
-//    until the next mutation. Consumers that demand a `const Graph&`
-//    (GroupSampler, the training stages, SubgraphView) run on the view.
+// `Graph` is immutable to every consumer (traversals, the sampler,
+// GraphSNN, the GCN operators): they all read frozen, sorted CSR rows. A
+// DynamicGraph owns one such packed Graph and absorbs edge insertions and
+// deletions from a running daemon by splicing each one straight into it:
+// a sorted insert or erase in the two endpoint rows plus an offset shift,
+// O(E) memmoves per mutation against an O(E log E) GraphBuilder pass. A
+// packed CSR is uniquely determined by its edge set, so PackedView() is
+// always bitwise identical (offsets, adjacency, attributes) to what
+// GraphBuilder would build from the current edges, and anchor-score,
+// refresh and snapshots read it directly.
 //
 // The node set and the attributes are the base graph's, fixed for the
 // graph's lifetime: node ids are stable handles held by resident artifacts
@@ -32,16 +21,14 @@
 #define GRGAD_GRAPH_DYNAMIC_GRAPH_H_
 
 #include <cstdint>
-#include <span>
 #include <string>
-#include <vector>
 
 #include "src/graph/graph.h"
 #include "src/util/status.h"
 
 namespace grgad {
 
-/// One applied edge mutation, in application order (the delta log entry).
+/// One edge mutation, as the WAL logs it.
 struct GraphMutation {
   enum class Kind { kAddEdge, kRemoveEdge };
   Kind kind = Kind::kAddEdge;
@@ -65,119 +52,54 @@ bool ParseGraphMutation(const std::string& text, GraphMutation* out);
 std::string SerializeGraphSnapshot(const Graph& g);
 Result<Graph> ParseGraphSnapshot(const std::string& text);
 
-/// Mutation/compaction counters (monotonic except pending_log).
+/// Mutation counters.
 struct DynamicGraphStats {
-  uint64_t edges_added = 0;
-  uint64_t edges_removed = 0;
-  uint64_t regrows = 0;       ///< Slack overflows that forced a CSR rebuild.
-  uint64_t compactions = 0;   ///< Explicit Compact() calls.
-  size_t pending_log = 0;     ///< Delta-log entries since the last Compact().
+  uint64_t compactions = 0;  ///< Compact() calls.
 };
 
 class DynamicGraph {
  public:
-  /// Per-row slack reserved on regrow/compaction; absorbs that many inserts
-  /// per row before the next rebuild.
-  static constexpr int kRowSlack = 4;
-
   DynamicGraph() = default;
-  /// Starts from `base`; PackedView() before any mutation is bitwise
-  /// identical to it (modulo the subgraph mapping, which a mutable host
-  /// graph does not carry).
-  explicit DynamicGraph(const Graph& base);
+  /// Starts from `base`: PackedView() before any mutation is a copy of it.
+  explicit DynamicGraph(const Graph& base) : graph_(base) {}
 
-  // ---- the immutable Graph's read contract ----------------------------------
+  int num_nodes() const { return graph_.num_nodes(); }
+  int num_edges() const { return graph_.num_edges(); }
 
-  int num_nodes() const { return num_nodes_; }
-  int num_edges() const { return num_edges_; }
+  /// True iff the undirected edge {u, v} exists; false for invalid ids.
+  bool HasEdge(int u, int v) const { return graph_.HasEdge(u, v); }
 
-  /// Neighbors of v, ascending, no self-loops (live view — invalidated by
-  /// the next mutation).
-  std::span<const int> Neighbors(int v) const {
-    GRGAD_DCHECK(v >= 0 && v < num_nodes_);
-    return {adj_.data() + row_start_[v], static_cast<size_t>(degree_[v])};
-  }
-
-  int Degree(int v) const {
-    GRGAD_DCHECK(v >= 0 && v < num_nodes_);
-    return degree_[v];
-  }
-
-  /// True iff the undirected edge {u, v} exists. O(log deg(u)).
-  bool HasEdge(int u, int v) const;
-
-  /// Visits every undirected edge as visitor(u, v) with u < v, in exactly
-  /// the packed Graph's ForEachEdge order.
-  template <typename Visitor>
-  void ForEachEdge(Visitor&& visitor) const {
-    for (int u = 0; u < num_nodes_; ++u) {
-      const int* row = adj_.data() + row_start_[u];
-      for (int i = 0; i < degree_[u]; ++i) {
-        if (row[i] > u) visitor(u, row[i]);
-      }
-    }
-  }
-
-  // ---- mutations ------------------------------------------------------------
-
-  /// Inserts the undirected edge {u, v}. False (and no log entry) for
+  /// Inserts the undirected edge {u, v}. False (and no change) for
   /// self-loops, out-of-range ids, or an edge already present.
   bool AddEdge(int u, int v);
 
   /// Removes the undirected edge {u, v}; false when absent or invalid.
   bool RemoveEdge(int u, int v);
 
-  // ---- compaction + packed view ---------------------------------------------
+  /// Counts a compaction. Mutations already land in the packed CSR, so
+  /// there is nothing left to fold; the `compact` serve op and its WAL
+  /// record keep their wire form and only move this counter.
+  void Compact() { ++stats_.compactions; }
 
-  /// Rebuilds the slack CSR with uniform kRowSlack headroom, truncates the
-  /// delta log, and refreshes the packed view. Cheap O(n + E).
-  void Compact();
+  /// Sets the compaction count a snapshot recorded (serve recovery).
+  void RestoreCompactions(uint64_t count) { stats_.compactions = count; }
 
-  /// Canonical immutable view of the current edge set — bitwise identical
-  /// to GraphBuilder::Build over the same edges and attributes. Lazily
-  /// maintained: pending mutations are spliced into the cached packed CSR
-  /// in O(E) memmoves per mutation; the reference is invalidated by the
-  /// next mutation or Compact().
-  const Graph& PackedView() const;
+  /// The live graph: the canonical packed CSR of the current edge set. The
+  /// reference lives as long as the DynamicGraph; row spans read from it
+  /// are invalidated by the next mutation.
+  const Graph& PackedView() const { return graph_; }
 
-  /// Delta log since the last Compact(), in application order.
-  const std::vector<GraphMutation>& DeltaLog() const { return log_; }
-
-  DynamicGraphStats stats() const {
-    DynamicGraphStats s = stats_;
-    s.pending_log = log_.size();
-    return s;
-  }
-
-  /// Structural sanity check over the slack CSR (sorted rows, symmetry,
-  /// degree/capacity consistency).
-  Status Validate() const;
+  DynamicGraphStats stats() const { return stats_; }
 
  private:
-  /// Row capacity (degree + slack) of v.
-  int RowCapacity(int v) const { return row_start_[v + 1] - row_start_[v]; }
+  /// Inserts b into a's sorted row (add; b absent) or erases it (!add; b
+  /// present), then shifts every later row's offset.
+  void SpliceHalfEdge(int a, int b, bool add);
 
-  /// Inserts w into v's sorted row; regrows the CSR when the row is full.
-  void InsertHalfEdge(int v, int w);
-  /// Erases w from v's sorted row (must be present).
-  void EraseHalfEdge(int v, int w);
-  /// Rebuilds adj_/row_start_ with `slack` extra slots per row.
-  void Regrow(int slack);
-  /// Splices one logged edge mutation into the cached packed CSR.
-  void ApplyPackedEdgeDelta(const GraphMutation& m) const;
-
-  int num_nodes_ = 0;
-  int num_edges_ = 0;
-  std::vector<int> row_start_;  ///< Length num_nodes_+1: row capacity starts.
-  std::vector<int> degree_;     ///< Live entries per row.
-  std::vector<int> adj_;        ///< Capacity slots; live prefix sorted per row.
-  std::vector<GraphMutation> log_;
-  DynamicGraphStats stats_;
-
-  /// Cached canonical view; it alone holds the node attributes, which edge
+  /// The only adjacency; it alone holds the node attributes, which edge
   /// mutations never touch.
-  mutable Graph packed_;
-  mutable size_t packed_applied_ = 0;  ///< log_ entries reflected in packed_.
+  Graph graph_;
+  DynamicGraphStats stats_;
 };
 
 }  // namespace grgad

@@ -89,8 +89,8 @@ class Graph {
 
  private:
   friend class GraphBuilder;
-  /// DynamicGraph splices edge deltas into its cached packed view in place
-  /// (src/graph/dynamic_graph.cc) instead of paying a full rebuild.
+  /// DynamicGraph splices each edge mutation into the Graph it owns in
+  /// place (src/graph/dynamic_graph.cc) instead of paying a full rebuild.
   friend class DynamicGraph;
 
   int num_nodes_ = 0;

@@ -31,6 +31,41 @@ void AnchorDirtyTracker::Reset(const std::vector<int>& anchors, int radius,
   epoch_ = 0;
 }
 
+int AnchorDirtyTracker::MarkFromEdge(const Graph& g, int u, int v) {
+  // Edge mutations never add nodes: the graph keeps Reset()'s node set.
+  GRGAD_DCHECK(static_cast<size_t>(g.num_nodes()) == stamp_.size());
+  if (++epoch_ == 0) {  // Stamp wrap: invalidate all stamps once.
+    std::fill(stamp_.begin(), stamp_.end(), 0);
+    epoch_ = 1;
+  }
+  int fanout = 0;
+  queue_.clear();
+  depths_.clear();
+  auto visit = [&](int node, int d) {
+    if (node < 0 || node >= g.num_nodes() || stamp_[node] == epoch_) return;
+    stamp_[node] = epoch_;
+    queue_.push_back(node);
+    depths_.push_back(d);
+    const int ai = anchor_index_of_[node];
+    if (ai >= 0) {
+      ++fanout;
+      if (!dirty_[ai]) {
+        dirty_[ai] = 1;
+        ++dirty_count_;
+      }
+    }
+  };
+  visit(u, 0);
+  visit(v, 0);
+  for (size_t head = 0; head < queue_.size(); ++head) {
+    const int node = queue_[head];
+    const int d = depths_[head];
+    if (d == radius_) continue;
+    for (int w : g.Neighbors(node)) visit(w, d + 1);
+  }
+  return fanout;
+}
+
 void AnchorDirtyTracker::MarkAll() {
   all_dirty_ = true;
   std::fill(dirty_.begin(), dirty_.end(), 1);

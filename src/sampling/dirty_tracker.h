@@ -15,7 +15,9 @@
 // Mark on the right side of the mutation: additions mark AFTER applying
 // (distances only shrink, so the post-mutation ball covers the pre-mutation
 // one through the new edge); removals mark BEFORE applying (distances only
-// grow once the edge is gone).
+// grow once the edge is gone). The serving daemon passes its live graph,
+// DynamicGraph::PackedView(), after the splice for an add and before it
+// for a remove.
 //
 // Weighted path modes (kAttributeDistance, kGraphSnnWeighted) are NOT
 // radius-local — Dijkstra/Bellman–Ford distances and GraphSNN weights read
@@ -27,6 +29,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/graph/graph.h"
 #include "src/sampling/group_sampler.h"
 
 namespace grgad {
@@ -41,7 +44,7 @@ bool IncrementalInvalidationSound(const GroupSamplerOptions& options);
 int InvalidationRadius(const GroupSamplerOptions& options);
 
 /// Epoch-stamped dirty set over a fixed anchor list. Not thread-safe; owned
-/// by the serving daemon's single executor thread next to the DynamicGraph.
+/// by the serving daemon's single executor thread next to its live graph.
 class AnchorDirtyTracker {
  public:
   /// (Re)binds the tracker to an anchor list over a graph of `num_nodes`
@@ -52,41 +55,7 @@ class AnchorDirtyTracker {
   /// from both endpoints on `g` — the post-add or pre-remove graph, see the
   /// header comment). Returns the invalidation fanout: the number of
   /// anchors inside the ball, whether or not they were already dirty.
-  template <typename G>
-  int MarkFromEdge(const G& g, int u, int v) {
-    // Edge mutations never add nodes: the graph keeps Reset()'s node set.
-    GRGAD_DCHECK(static_cast<size_t>(g.num_nodes()) == stamp_.size());
-    if (++epoch_ == 0) {  // Stamp wrap: invalidate all stamps once.
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-    int fanout = 0;
-    queue_.clear();
-    depths_.clear();
-    auto visit = [&](int node, int d) {
-      if (node < 0 || node >= g.num_nodes() || stamp_[node] == epoch_) return;
-      stamp_[node] = epoch_;
-      queue_.push_back(node);
-      depths_.push_back(d);
-      const int ai = anchor_index_of_[node];
-      if (ai >= 0) {
-        ++fanout;
-        if (!dirty_[ai]) {
-          dirty_[ai] = 1;
-          ++dirty_count_;
-        }
-      }
-    };
-    visit(u, 0);
-    visit(v, 0);
-    for (size_t head = 0; head < queue_.size(); ++head) {
-      const int node = queue_[head];
-      const int d = depths_[head];
-      if (d == radius_) continue;
-      for (int w : g.Neighbors(node)) visit(w, d + 1);
-    }
-    return fanout;
-  }
+  int MarkFromEdge(const Graph& g, int u, int v);
 
   /// Marks every anchor dirty (the weighted-mode fallback, and the recovery
   /// path after an aborted refresh).

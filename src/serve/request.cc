@@ -208,11 +208,11 @@ std::string RenderRefreshResponse(int64_t id, size_t refreshed_anchors,
 }
 
 std::string RenderCompactResponse(int64_t id, int num_edges,
-                                  uint64_t compactions, size_t pending_log) {
+                                  uint64_t compactions) {
   return ResponseHead(id, "compact", "ok")
       .Key("num_edges").Int(num_edges)
       .Key("compactions").Int(compactions)
-      .Key("pending_log").Int(pending_log)
+      .Key("pending_log").Int(0)
       .End().Take();
 }
 

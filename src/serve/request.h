@@ -21,7 +21,7 @@
 //   {"id": 5, "op": "shutdown"}    graceful drain + daemon exit
 //   {"id": 6, "op": "add-edge", "u": 17, "v": 42}
 //   {"id": 7, "op": "remove-edge", "u": 17, "v": 42}
-//       Live graph mutations: applied to the daemon's DynamicGraph through
+//       Live graph mutations: spliced into the daemon's live graph through
 //       the same admission queue as queries (so mutate/query interleavings
 //       are exactly admission order), marking the anchors whose
 //       invalidation balls the edge touches. "applied" is false when the
@@ -30,7 +30,9 @@
 //       Incremental artifact refresh: re-samples only the dirty anchors,
 //       merges with the cached lists, re-embeds (pooled) + re-scores.
 //   {"id": 9, "op": "compact"}
-//       Compacts the DynamicGraph's slack CSR and truncates its delta log.
+//       Counts a compaction. Mutations already land in the packed graph,
+//       so there is nothing to fold; the op, its WAL record and its reply
+//       (whose pending_log is always 0) keep their wire form.
 //
 // Requests are read with the JSON module's parser (src/util/json.h); an
 // integer field must be an integer literal within the field's range, read
@@ -136,9 +138,10 @@ std::string RenderRefreshResponse(int64_t id, size_t refreshed_anchors,
                                   int top);
 
 /// {"id", "op": "compact", "status": "ok", num_edges, compactions,
-///  pending_log} after a slack-CSR compaction.
+///  pending_log} after a compaction; pending_log is always 0, kept for
+///  wire compatibility.
 std::string RenderCompactResponse(int64_t id, int num_edges,
-                                  uint64_t compactions, size_t pending_log);
+                                  uint64_t compactions);
 
 /// {"id", "op": "sync", "status": "ok", wal_seq} after a forced WAL fsync.
 /// Deterministic: wal_seq is a pure function of the acked op sequence.

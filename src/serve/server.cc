@@ -56,19 +56,20 @@ bool ServeDaemon::ApplyEdgeMutation(bool add, int u, int v, int* fanout) {
   *fanout = 0;
   const bool sound = IncrementalInvalidationSound(options_.pipeline.sampler);
   if (add) {
-    // Mark AFTER applying: the post-add balls cover every distance that
+    // Mark AFTER the splice: the post-add balls cover every distance that
     // shrank through the new edge.
     const bool applied = dynamic_.AddEdge(u, v);
     if (applied) {
-      *fanout = sound ? tracker_.MarkFromEdge(dynamic_, u, v)
+      *fanout = sound ? tracker_.MarkFromEdge(dynamic_.PackedView(), u, v)
                       : MarkAllAnchors();
     }
     return applied;
   }
   if (!dynamic_.HasEdge(u, v)) return false;
-  // Mark BEFORE applying: the pre-remove balls still reach through the
+  // Mark BEFORE the splice: the pre-remove balls still reach through the
   // edge about to disappear.
-  *fanout = sound ? tracker_.MarkFromEdge(dynamic_, u, v) : MarkAllAnchors();
+  *fanout = sound ? tracker_.MarkFromEdge(dynamic_.PackedView(), u, v)
+                  : MarkAllAnchors();
   return dynamic_.RemoveEdge(u, v);
 }
 
@@ -132,7 +133,7 @@ const std::vector<ScoredGroup>* ServeDaemon::CachedScores(
                              : &it->second.scored_groups;
 }
 
-Status ServeDaemon::EnableDurability(const LoadedServeSnapshot* snapshot) {
+Status ServeDaemon::EnableDurability(LoadedServeSnapshot* snapshot) {
   if (options_.state_dir.empty()) {
     return Status::InvalidArgument(
         "EnableDurability requires ServeOptions::state_dir");
@@ -155,8 +156,8 @@ Status ServeDaemon::EnableDurability(const LoadedServeSnapshot* snapshot) {
         tracker_.MarkIndex(index);
       }
     }
-    refresh_state_.primed = snapshot->state.refresh_primed;
-    refresh_state_.per_anchor = snapshot->state.refresh_per_anchor;
+    refresh_state_ = std::move(snapshot->state.refresh);
+    dynamic_.RestoreCompactions(snapshot->state.compactions);
     base = snapshot->wal_seq;
   }
   auto wal = WriteAheadLog::Open(
@@ -199,17 +200,20 @@ Status ServeDaemon::SnapshotNow() {
   ServeStateSnapshot state;
   state.all_dirty = tracker_.all_dirty();
   state.dirty_anchor_indices = tracker_.PeekDirtyIndices();
-  state.refresh_primed = refresh_state_.primed;
-  if (refresh_state_.primed) {
-    state.refresh_per_anchor = refresh_state_.per_anchor;
-  }
+  state.compactions = dynamic_.stats().compactions;
   const uint64_t seq = wal_->last_seq();
   // Unsynced appends must be durable before a snapshot claims to cover
   // them: the snapshot commit is the new recovery floor.
   GRGAD_RETURN_IF_ERROR(wal_->Sync());
-  GRGAD_RETURN_IF_ERROR(SaveServeSnapshot(options_.state_dir,
-                                          dynamic_.PackedView(), artifacts_,
-                                          state, seq));
+  // The refresh cache is lent to the snapshot rather than deep-copied
+  // (every anchor's candidate lists), and taken back whatever the save
+  // returns.
+  state.refresh = std::move(refresh_state_);
+  const Status saved = SaveServeSnapshot(options_.state_dir,
+                                         dynamic_.PackedView(), artifacts_,
+                                         state, seq);
+  refresh_state_ = std::move(state.refresh);
+  GRGAD_RETURN_IF_ERROR(saved);
   metrics_.RecordSnapshot(seq);
   // The kill window between a committed snapshot and the WAL truncation:
   // recovery must skip replaying records the snapshot already covers.
@@ -354,8 +358,7 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         // responses stay bitwise identical to an arena-less sequential run.
         options.mh_gae.base.arena = &arena_;
         options.tpgcl.arena = &arena_;
-        // The live view: before any mutation PackedView() is the cached
-        // host graph, after mutations it is the canonical repacked CSR.
+        // The live graph: every applied mutation is already spliced in.
         auto result = RunPipeline(dynamic_.PackedView(), options, &ctx);
         if (!result.ok()) {
           status = result.status();
@@ -552,11 +555,11 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
         break;
       }
       case ServeOp::kCompact: {
-        dynamic_.Compact();
         if (wal_ != nullptr) {
-          // Compaction only moves counters (compactions, pending_log), but
-          // those surface in compact responses — replaying the record keeps
-          // a recovered daemon's counters aligned.
+          // Compaction only moves the compactions counter, but it surfaces
+          // in compact responses: replaying the record keeps a recovered
+          // daemon's count aligned, so a compaction that cannot be logged
+          // is not counted either.
           status = wal_->Append(WalRecord::Kind::kCompact);
           if (!status.ok()) {
             metrics_.RecordDurabilityError(status);
@@ -564,10 +567,9 @@ std::string ServeDaemon::Execute(const ServeRequest& request,
             break;
           }
         }
-        const DynamicGraphStats dstats = dynamic_.stats();
+        dynamic_.Compact();
         response = RenderCompactResponse(request.id, dynamic_.num_edges(),
-                                         dstats.compactions,
-                                         dstats.pending_log);
+                                         dynamic_.stats().compactions);
         break;
       }
       case ServeOp::kSync: {

@@ -12,14 +12,14 @@
 // at a time, each internally parallel at full GRGAD_THREADS.
 //
 // Live mutations: the daemon owns a DynamicGraph seeded from the host
-// graph. add-edge/remove-edge requests mutate it through the same
-// admission queue as queries (so interleavings are exactly admission
-// order), an AnchorDirtyTracker marks the anchors whose invalidation balls
-// each mutation touches, and a refresh request re-samples only those
-// anchors (RefreshArtifacts), rewriting the resident artifacts in place.
-// Queries run on the DynamicGraph's canonical PackedView, so anchor-score
-// always sees the mutated graph. Single-threaded execution is what makes
-// unguarded mutation safe.
+// graph. add-edge/remove-edge requests splice into its packed Graph
+// through the same admission queue as queries (so interleavings are
+// exactly admission order), an AnchorDirtyTracker marks the anchors whose
+// invalidation balls each mutation touches, and a refresh request
+// re-samples only those anchors (RefreshArtifacts), rewriting the resident
+// artifacts in place. Anchor-score, refresh and snapshots all read that
+// one Graph (PackedView), so they always see the mutated edges.
+// Single-threaded execution is what makes unguarded mutation safe.
 //
 // Determinism: a response is a pure function of (request, resident
 // artifacts, base options) — batch items execute sequentially in admission
@@ -97,14 +97,14 @@ class ServeDaemon {
   void Prewarm();
 
   /// Arms durability under options().state_dir: opens (or creates) the WAL,
-  /// restores `snapshot`'s tracker marks and refresh cache when one was
-  /// loaded (the caller already seeded the constructor with its graph and
+  /// restores `snapshot`'s tracker marks and compaction count and moves its
+  /// refresh cache in when one was loaded (the caller already seeded the constructor with its graph and
   /// artifacts), and replays the WAL tail above the snapshot's high-water
   /// mark through the same apply/mark/refresh path live traffic takes — so
   /// the daemon resumes bitwise identical to one that never crashed. Call
   /// once, before Serve(); a failure means the durable state is unusable
   /// and the caller must not serve from it.
-  Status EnableDurability(const LoadedServeSnapshot* snapshot);
+  Status EnableDurability(LoadedServeSnapshot* snapshot);
 
   /// Forces a snapshot now (graph + artifacts + tracker + refresh cache +
   /// WAL high-water mark) and truncates the replayed WAL prefix. The
@@ -132,7 +132,8 @@ class ServeDaemon {
 
   ServeMetrics& metrics() { return metrics_; }
   const PipelineArtifacts& artifacts() const { return artifacts_; }
-  /// The live graph (mutations land here; queries run on its PackedView).
+  /// The live graph (mutations splice into its PackedView, which every
+  /// query reads).
   const DynamicGraph& dynamic_graph() const { return dynamic_; }
 
   /// True once a shutdown request was executed; the owner's accept loop
@@ -177,7 +178,7 @@ class ServeDaemon {
   PipelineArtifacts artifacts_;
   ServeOptions options_;
   // The live-mutation state, all touched only from the executor thread:
-  // the slack-CSR graph, the ball-invalidation tracker over the resident
+  // the mutable graph, the ball-invalidation tracker over the resident
   // anchors, and the refresh path's cached per-anchor candidate lists.
   DynamicGraph dynamic_;
   AnchorDirtyTracker tracker_;

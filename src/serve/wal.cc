@@ -121,11 +121,14 @@ std::string SerializeServeState(const ServeStateSnapshot& state) {
     out += std::to_string(i);
   }
   out += "\n";
-  out += std::string("refresh_primed ") +
-         (state.refresh_primed ? "1" : "0") + "\n";
-  out += "refresh_anchors " +
-         std::to_string(state.refresh_per_anchor.size()) + "\n";
-  for (const auto& groups : state.refresh_per_anchor) {
+  // An unprimed cache is never read back, so none of its lists is written.
+  const RefreshState& refresh = state.refresh;
+  const size_t cached = refresh.primed ? refresh.per_anchor.size() : 0;
+  out += std::string("refresh_primed ") + (refresh.primed ? "1" : "0") +
+         "\n";
+  out += "refresh_anchors " + std::to_string(cached) + "\n";
+  for (size_t a = 0; a < cached; ++a) {
+    const auto& groups = refresh.per_anchor[a];
     out += "a " + std::to_string(groups.size()) + "\n";
     for (const auto& group : groups) {
       out += "g " + std::to_string(group.size());
@@ -173,18 +176,18 @@ Result<ServeStateSnapshot> ParseServeState(const std::string& text) {
       (flag != 0 && flag != 1)) {
     return Status::DataLoss("serve state: bad refresh_primed");
   }
-  state.refresh_primed = flag == 1;
+  state.refresh.primed = flag == 1;
   long long anchors = 0;
   if (!in.Keyword("refresh_anchors") || !in.I64(&anchors) || anchors < 0) {
     return Status::DataLoss("serve state: bad refresh_anchors");
   }
-  state.refresh_per_anchor.resize(static_cast<size_t>(anchors));
+  state.refresh.per_anchor.resize(static_cast<size_t>(anchors));
   for (long long a = 0; a < anchors; ++a) {
     long long groups = 0;
     if (!in.Keyword("a") || !in.I64(&groups) || groups < 0) {
       return Status::DataLoss("serve state: bad anchor group count");
     }
-    auto& anchor_groups = state.refresh_per_anchor[static_cast<size_t>(a)];
+    auto& anchor_groups = state.refresh.per_anchor[static_cast<size_t>(a)];
     anchor_groups.resize(static_cast<size_t>(groups));
     for (long long g = 0; g < groups; ++g) {
       long long len = 0;
@@ -416,12 +419,18 @@ Status SaveServeSnapshot(const std::string& state_dir, const Graph& graph,
     // last one, also makes the nested directory's entry durable.
     GRGAD_RETURN_IF_ERROR(WriteArtifactFiles(
         artifacts, (fs::path(tmp) / kSnapshotArtifactsDir).string()));
+    ManifestHeader header{kSnapshotMagic, kSnapshotVersion,
+                          {{"wal_seq", std::to_string(wal_seq)}}};
+    // Omitted at 0, so a never-compacted daemon's manifest keeps the bytes
+    // it had before the count was persisted; a missing key loads as 0.
+    if (state.compactions > 0) {
+      header.values.emplace_back("compactions",
+                                 std::to_string(state.compactions));
+    }
     // "snapshot/mid" fires between the two payload writes: a crash there
     // leaves only a torn tmp directory, which the commit never publishes.
     return WriteStoreDir(
-        tmp, kSnapshotManifest,
-        {kSnapshotMagic, kSnapshotVersion,
-         {{"wal_seq", std::to_string(wal_seq)}}},
+        tmp, kSnapshotManifest, header,
         {{kSnapshotGraphFile, SerializeGraphSnapshot(graph)},
          {kSnapshotStateFile, SerializeServeState(state)}},
         "snapshot/mid");
@@ -449,6 +458,13 @@ Result<LoadedServeSnapshot> LoadServeSnapshot(const std::string& state_dir) {
                             snap_dir.string());
   }
   snap.wal_seq = static_cast<uint64_t>(seq);
+  long long compactions = 0;
+  if (const std::string* text = stored.header.Find("compactions");
+      text != nullptr &&
+      (!TokenScanner(*text).I64(&compactions) || compactions < 0)) {
+    return Status::DataLoss("snapshot: bad compactions under " +
+                            snap_dir.string());
+  }
   const std::string* graph_text = stored.Find(kSnapshotGraphFile);
   const std::string* state_text = stored.Find(kSnapshotStateFile);
   if (graph_text == nullptr || state_text == nullptr) {
@@ -462,6 +478,7 @@ Result<LoadedServeSnapshot> LoadServeSnapshot(const std::string& state_dir) {
   auto state = ParseServeState(*state_text);
   if (!state.ok()) return state.status();
   snap.state = std::move(state.value());
+  snap.state.compactions = static_cast<uint64_t>(compactions);
   auto artifacts = LoadArtifacts((snap_dir / kSnapshotArtifactsDir).string());
   if (!artifacts.ok()) {
     if (artifacts.status().code() == StatusCode::kNotFound) {
@@ -472,8 +489,8 @@ Result<LoadedServeSnapshot> LoadServeSnapshot(const std::string& state_dir) {
     return artifacts.status();
   }
   snap.artifacts = std::move(artifacts.value());
-  if (snap.state.refresh_primed &&
-      snap.state.refresh_per_anchor.size() != snap.artifacts.anchors.size()) {
+  if (snap.state.refresh.primed &&
+      snap.state.refresh.per_anchor.size() != snap.artifacts.anchors.size()) {
     return Status::DataLoss(
         "snapshot: refresh cache size disagrees with anchors");
   }

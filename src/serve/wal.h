@@ -14,8 +14,9 @@
 //    valid prefix always replays.
 //  - SaveServeSnapshot persists the full serving state (canonical packed
 //    CSR, resident PipelineArtifacts, dirty-tracker marks, refresh cache,
-//    WAL high-water mark) atomically under <state_dir>/snapshot, after
-//    which the replayed WAL prefix can be truncated.
+//    compaction count, WAL high-water mark) atomically under
+//    <state_dir>/snapshot, after which the replayed WAL prefix can be
+//    truncated.
 //  - LoadServeSnapshot + WAL replay through the daemon's own
 //    apply/mark/refresh path restart a killed daemon bitwise identical
 //    (response bytes and artifact doubles) to one that never crashed.
@@ -42,6 +43,7 @@
 #include <vector>
 
 #include "src/core/artifacts.h"
+#include "src/core/refresh.h"
 #include "src/graph/dynamic_graph.h"
 #include "src/graph/graph.h"
 #include "src/util/status.h"
@@ -122,13 +124,15 @@ class WriteAheadLog {
 };
 
 /// The serving-session state beyond graph + artifacts that recovery must
-/// restore for bitwise equivalence: which anchors are marked dirty and the
-/// refresh path's per-anchor candidate cache.
+/// restore for bitwise equivalence: which anchors are marked dirty, the
+/// refresh path's per-anchor candidate cache, and the compaction count
+/// that compact replies report.
 struct ServeStateSnapshot {
   bool all_dirty = false;
   std::vector<int> dirty_anchor_indices;  ///< Ignored when all_dirty.
-  bool refresh_primed = false;
-  std::vector<std::vector<std::vector<int>>> refresh_per_anchor;
+  RefreshState refresh;  ///< per_anchor is persisted only when primed.
+  /// Kept in the manifest header, not serve_state.txt; absent there = 0.
+  uint64_t compactions = 0;
 };
 
 /// Everything LoadServeSnapshot restores.

@@ -17,6 +17,7 @@ namespace {
 // per-point state needs no allocation or rehashing under concurrent checks.
 constexpr const char* kPointNames[] = {
     "stage/anchors",  "stage/sampling", "stage/embedding", "stage/scoring",
+    "stage/refresh",
     "artifact/write", "artifact/read",  "artifact/fsync",  "artifact/rename",
     "dataset/load",   "arena/alloc",    "parallel/dispatch",
     "od/ensemble-member", "serve/admit", "serve/execute",

@@ -204,9 +204,9 @@ TEST(RefreshTest, IncrementalMatchesFullRecomputeBitwise) {
     DynamicGraph dg(g0);
     ASSERT_FALSE(dg.HasEdge(10, 200));
     ASSERT_TRUE(dg.AddEdge(10, 200));
-    tracker.MarkFromEdge(dg, 10, 200);
-    const int rv = dg.Neighbors(40).front();
-    tracker.MarkFromEdge(dg, 40, rv);
+    tracker.MarkFromEdge(dg.PackedView(), 10, 200);
+    const int rv = dg.PackedView().Neighbors(40).front();
+    tracker.MarkFromEdge(dg.PackedView(), 40, rv);
     ASSERT_TRUE(dg.RemoveEdge(40, rv));
 
     const std::vector<int> dirty = tracker.TakeDirtyIndices();
@@ -253,7 +253,7 @@ std::string MutationLine(int64_t id, bool add, int u, int v) {
 /// The graph a from-scratch GraphBuilder would produce from dg's edge set.
 Graph Rebuild(const DynamicGraph& dg) {
   GraphBuilder b(dg.num_nodes());
-  dg.ForEachEdge([&b](int u, int v) { b.AddEdge(u, v); });
+  dg.PackedView().ForEachEdge([&b](int u, int v) { b.AddEdge(u, v); });
   return b.Build(dg.PackedView().attributes());
 }
 

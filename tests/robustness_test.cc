@@ -822,8 +822,8 @@ SnapshotInput FixedSnapshotInput() {
   in.graph = builder.Build(std::move(attrs));
   in.state.all_dirty = false;
   in.state.dirty_anchor_indices = {0, 2};
-  in.state.refresh_primed = true;
-  in.state.refresh_per_anchor = {{{0, 1, 2}}, {{3, 4}, {}}, {}};
+  in.state.refresh.primed = true;
+  in.state.refresh.per_anchor = {{{0, 1, 2}}, {{3, 4}, {}}, {}};
   return in;
 }
 

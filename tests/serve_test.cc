@@ -491,7 +491,7 @@ std::vector<std::string> RenderedReplies() {
       RenderMutationResponse(10, ServeOp::kAddEdge, true, 12, 216),
       RenderMutationResponse(11, ServeOp::kRemoveEdge, false, 0, 215),
       RenderRefreshResponse(12, 3, 17, scored, 1),
-      RenderCompactResponse(13, 215, 2, 0),
+      RenderCompactResponse(13, 215, 2),
       RenderSyncResponse(14, UINT64_MAX),
       RenderSnapshotResponse(15, 42),
       RenderErrorResponse(16, ServeOp::kRescore,
@@ -1047,6 +1047,50 @@ TEST(ServeTest, RescoreCacheSkipsDegradedEnsemble) {
   EXPECT_EQ(CacheCounters(*daemon), (std::vector<int64_t>{0, 0, 3}));
   EXPECT_EQ(Execute(daemon.get(), line), clean);
   EXPECT_EQ(CacheCounters(*daemon), (std::vector<int64_t>{0, 1, 3}));
+}
+
+TEST(ServeTest, InjectedRefreshFaultUnprimesAndTheNextRefreshIsFull) {
+  // The stage/refresh point unprimes the cache it was handed.
+  ASSERT_TRUE(FaultInjector::Global().Configure("stage/refresh=1.0").ok());
+  RefreshState primed_state;
+  primed_state.primed = true;
+  PipelineArtifacts scratch = TrainedArtifacts();
+  const Status direct = RefreshArtifacts(TestDataset().graph, QuickOptions(),
+                                         {}, &primed_state, &scratch);
+  FaultInjector::Global().Disable();
+  EXPECT_EQ(direct.code(), StatusCode::kInternal) << direct.ToString();
+  EXPECT_FALSE(primed_state.primed);
+
+  // Through the daemon: a primed cache, a mutation, a refresh failed by the
+  // fault, then a refresh that resamples every anchor and answers exactly
+  // what a never-failed daemon's first (full) refresh over the same graph
+  // answers.
+  const auto [u, v] = AbsentEdge();
+  const std::string edge = "{\"id\": 2, \"op\": \"add-edge\", \"u\": " +
+                           std::to_string(u) + ", \"v\": " +
+                           std::to_string(v) + "}";
+  const std::string refresh = R"({"id": 4, "op": "refresh", "top": 4})";
+  auto daemon = MakeDaemon(QuickOptions());
+  ASSERT_TRUE(ResponseOk(Execute(daemon.get(), R"({"id": 1, "op": "refresh"})")));
+  ASSERT_TRUE(ResponseOk(Execute(daemon.get(), edge)));
+  ASSERT_TRUE(FaultInjector::Global().Configure("stage/refresh=1.0").ok());
+  const std::string failed =
+      Execute(daemon.get(), R"({"id": 3, "op": "refresh"})");
+  FaultInjector::Global().Disable();
+  EXPECT_NE(failed.find("\"status\": \"Internal\""), std::string::npos)
+      << failed;
+  EXPECT_NE(failed.find("stage/refresh"), std::string::npos) << failed;
+
+  const std::string full = Execute(daemon.get(), refresh);
+  auto parsed = ParseJsonText(full);
+  ASSERT_TRUE(parsed.ok()) << full;
+  EXPECT_EQ(IntMember(parsed.value(), "refreshed_anchors"),
+            static_cast<int64_t>(daemon->artifacts().anchors.size()));
+  EXPECT_EQ(IntMember(parsed.value(), "reused_anchors"), 0);
+
+  auto fresh = MakeDaemon(QuickOptions());
+  ASSERT_TRUE(ResponseOk(Execute(fresh.get(), edge)));
+  EXPECT_EQ(full, Execute(fresh.get(), refresh));
 }
 
 TEST(ServeTest, ArtifactLoadRetryableClassifiesTheCommitWindow) {

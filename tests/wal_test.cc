@@ -34,6 +34,7 @@
 #include "src/serve/server.h"
 #include "src/serve/wal.h"
 #include "src/util/atomic_io.h"
+#include "src/util/fault.h"
 #include "src/util/status.h"
 
 namespace grgad {
@@ -311,11 +312,11 @@ TEST(WalTest, ServeSnapshotRoundtripRestoresEverything) {
   ServeStateSnapshot state;
   state.all_dirty = false;
   state.dirty_anchor_indices = {1, 4, 7};
-  state.refresh_primed = true;
+  state.refresh.primed = true;
   // A primed cache must cover every resident anchor (load validates that).
-  state.refresh_per_anchor.resize(TrainedArtifacts().anchors.size());
-  state.refresh_per_anchor[0] = {{0, 1, 2}, {3, 4}};
-  state.refresh_per_anchor[2] = {{5, 6, 7}};
+  state.refresh.per_anchor.resize(TrainedArtifacts().anchors.size());
+  state.refresh.per_anchor[0] = {{0, 1, 2}, {3, 4}};
+  state.refresh.per_anchor[2] = {{5, 6, 7}};
   const Status saved =
       SaveServeSnapshot(dir.string(), TestDataset().graph, TrainedArtifacts(),
                         state, /*wal_seq=*/17);
@@ -327,8 +328,8 @@ TEST(WalTest, ServeSnapshotRoundtripRestoresEverything) {
   EXPECT_EQ(snap.wal_seq, 17u);
   EXPECT_EQ(snap.state.all_dirty, false);
   EXPECT_EQ(snap.state.dirty_anchor_indices, state.dirty_anchor_indices);
-  EXPECT_EQ(snap.state.refresh_primed, true);
-  EXPECT_EQ(snap.state.refresh_per_anchor, state.refresh_per_anchor);
+  EXPECT_EQ(snap.state.refresh.primed, true);
+  EXPECT_EQ(snap.state.refresh.per_anchor, state.refresh.per_anchor);
   EXPECT_EQ(SerializeGraphSnapshot(snap.graph),
             SerializeGraphSnapshot(TestDataset().graph));
   // Artifact doubles round-trip exactly (the PR 6 17-digit contract).
@@ -594,6 +595,63 @@ TEST(WalTest, StaleSnapshotSkipsWalRecordsItAlreadyCovers) {
   EXPECT_NE(restarted.daemon->MetricsJson().find("\"replayed_records\": 1"),
             std::string::npos);
   EXPECT_EQ(Probe(restarted.daemon.get()), Probe(reference.get()));
+}
+
+TEST(WalTest, CompactionCountSurvivesSnapshotRecovery) {
+  // compact, add, add, snapshot, compact, die: the snapshot covers the
+  // first compaction and the WAL tail the second, so the restarted
+  // daemon's next compact reply must count three, as the reference's does.
+  const fs::path dir = TempDir("compactions");
+  const auto edges = AbsentEdges(2);
+  const std::vector<std::string> before_snapshot = {
+      R"({"id": 1, "op": "compact"})",
+      EdgeOp(2, true, edges[0].first, edges[0].second),
+      EdgeOp(3, true, edges[1].first, edges[1].second),
+  };
+  const std::string tail = R"({"id": 4, "op": "compact"})";
+  const std::string probe = R"({"id": 5, "op": "compact"})";
+
+  auto reference = MakeDaemon(/*state_dir=*/"");
+  for (const std::string& op : before_snapshot) (void)Exec(reference.get(), op);
+  (void)Exec(reference.get(), tail);
+
+  {
+    Recovered live = Recover(dir.string());
+    for (const std::string& op : before_snapshot) {
+      (void)Exec(live.daemon.get(), op);
+    }
+    ASSERT_TRUE(live.daemon->SnapshotNow().ok());
+    (void)Exec(live.daemon.get(), tail);
+  }
+
+  Recovered restarted = Recover(dir.string());
+  ASSERT_NE(restarted.snapshot, nullptr);
+  EXPECT_EQ(restarted.snapshot->state.compactions, 1u);
+  const std::string reply = Exec(restarted.daemon.get(), probe);
+  EXPECT_NE(reply.find("\"compactions\": 3"), std::string::npos) << reply;
+  EXPECT_EQ(reply, Exec(reference.get(), probe));
+}
+
+TEST(WalTest, UnloggedCompactionIsNotCounted) {
+  // A compact whose WAL append fails replies an error; counting it anyway
+  // would leave the live daemon one ahead of any recovery of its log.
+  const fs::path dir = TempDir("compact_fault");
+  {
+    Recovered live = Recover(dir.string());
+    ASSERT_TRUE(FaultInjector::Global().Configure("wal/pre-append=1.0").ok());
+    const std::string failed =
+        Exec(live.daemon.get(), R"({"id": 1, "op": "compact"})");
+    FaultInjector::Global().Disable();
+    EXPECT_NE(failed.find("\"status\": \"IoError\""), std::string::npos)
+        << failed;
+    EXPECT_EQ(live.daemon->dynamic_graph().stats().compactions, 0u);
+    const std::string counted =
+        Exec(live.daemon.get(), R"({"id": 2, "op": "compact"})");
+    EXPECT_NE(counted.find("\"compactions\": 1"), std::string::npos)
+        << counted;
+  }
+  Recovered restarted = Recover(dir.string());
+  EXPECT_EQ(restarted.daemon->dynamic_graph().stats().compactions, 1u);
 }
 
 TEST(WalTest, CorruptWalTailRecoversToLastValidStateWithDataLossNote) {
