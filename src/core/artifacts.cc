@@ -2,10 +2,14 @@
 
 #include "src/core/options.h"
 #include "src/util/atomic_io.h"
+#include "src/util/parallel.h"
 #include "src/util/retry.h"
 
+#include <algorithm>
+#include <array>
 #include <climits>
 #include <filesystem>
+#include <iterator>
 #include <string_view>
 #include <utility>
 
@@ -17,7 +21,6 @@ namespace {
 // and missing files up front. No other version loads.
 constexpr int kFormatVersion = 2;
 constexpr const char* kManifestMagic = "grgad_artifacts_version";
-constexpr const char* kManifestFile = "manifest.txt";
 
 std::string PathIn(const std::string& dir, const char* file) {
   return (std::filesystem::path(dir) / file).string();
@@ -90,27 +93,95 @@ std::string Serialize(const Matrix& m) {
   return content;
 }
 
-Status Parse(std::string_view content, const std::string& path, Matrix* out) {
-  TokenScanner in(content);
-  long long rows = 0, cols = 0;
-  if (!in.I64(&rows) || !in.I64(&cols)) {
-    return Malformed("missing dims line", path);
+/// A matrix payload ("<rows> <cols>", then rows·cols decimal cells) parsed
+/// in pieces. The cell text is cut at whitespace into pieces of about
+/// `piece_bytes`, so no token spans two; each piece parses its own tokens
+/// into its own buffer (ParsePiece, one pool task each); Finish walks the
+/// pieces in order, places their values by prefix offsets and resolves
+/// errors as a left-to-right scan would: the first bad or missing cell,
+/// else trailing data.
+class MatrixPieces {
+ public:
+  /// Reads the dims line, allocates `out` and cuts the cell text. A bad
+  /// dims line is the parse's status (and there are no pieces).
+  Status Begin(std::string_view content, const std::string& path,
+               size_t piece_bytes, Matrix* out) {
+    path_ = path;
+    out_ = out;
+    TokenScanner in(content);
+    long long rows = 0, cols = 0;
+    if (!in.I64(&rows) || !in.I64(&cols)) {
+      return Malformed("missing dims line", path);
+    }
+    // Guard the allocation: dims come from an untrusted file.
+    constexpr long long kMaxElements = 1LL << 28;  // 256M doubles = 2 GiB.
+    if (rows < 0 || cols < 0 || (cols > 0 && rows > kMaxElements / cols)) {
+      return Malformed("implausible dims " + std::to_string(rows) + "x" +
+                           std::to_string(cols),
+                       path);
+    }
+    *out = Matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
+    const std::string_view cells = in.Remaining();
+    const size_t step = std::max<size_t>(piece_bytes, 1);
+    size_t begin = 0;
+    while (begin < cells.size()) {
+      size_t end = std::min(begin + step, cells.size());
+      while (end < cells.size() && !TokenScanner::IsSpace(cells[end])) ++end;
+      pieces_.emplace_back().text = cells.substr(begin, end - begin);
+      begin = end;
+    }
+    return Status::Ok();
   }
-  // Guard the allocation: dims come from an untrusted file.
-  constexpr long long kMaxElements = 1LL << 28;  // 256M doubles = 2 GiB.
-  if (rows < 0 || cols < 0 || (cols > 0 && rows > kMaxElements / cols)) {
-    return Malformed("implausible dims " + std::to_string(rows) + "x" +
-                         std::to_string(cols),
-                     path);
-  }
-  *out = Matrix(static_cast<size_t>(rows), static_cast<size_t>(cols));
-  for (size_t i = 0; i < out->rows(); ++i) {
-    for (size_t j = 0; j < out->cols(); ++j) {
-      if (!in.F64(&(*out)(i, j))) return Malformed("bad or missing cell", path);
+
+  size_t num_pieces() const { return pieces_.size(); }
+
+  void ParsePiece(size_t i) {
+    Piece& piece = pieces_[i];
+    piece.values.reserve(piece.text.size() / 16);
+    TokenScanner in(piece.text);
+    double x = 0.0;
+    while (!in.AtEnd()) {
+      if (!in.F64(&x)) {
+        piece.bad = piece.values.size();
+        return;
+      }
+      piece.values.push_back(x);
     }
   }
-  return in.AtEnd() ? Status::Ok() : Malformed("trailing data", path);
-}
+
+  Status Finish() {
+    const size_t cells = out_->size();
+    size_t offset = 0;  // Cell index of the piece's first token.
+    for (const Piece& piece : pieces_) {
+      if (piece.bad != kNone) {
+        // Tokens past the last cell are trailing data, however they read.
+        return offset + piece.bad < cells
+                   ? Malformed("bad or missing cell", path_)
+                   : Malformed("trailing data", path_);
+      }
+      if (offset < cells) {
+        const size_t n = std::min(piece.values.size(), cells - offset);
+        std::copy_n(piece.values.data(), n, out_->data() + offset);
+      }
+      offset += piece.values.size();
+    }
+    if (offset < cells) return Malformed("bad or missing cell", path_);
+    return offset > cells ? Malformed("trailing data", path_) : Status::Ok();
+  }
+
+ private:
+  static constexpr size_t kNone = static_cast<size_t>(-1);
+
+  struct Piece {
+    std::string_view text;
+    std::vector<double> values;
+    size_t bad = kNone;  ///< Index in `values` order of the first bad token.
+  };
+
+  std::string path_;
+  Matrix* out_ = nullptr;
+  std::vector<Piece> pieces_;
+};
 
 // Groups and scored groups are line-delimited: a count line, then one group
 // per line. The count tells "no groups" from "one empty group", which is an
@@ -186,6 +257,7 @@ Status Parse(std::string_view content, const std::string& path,
 }
 
 /// One payload file: its name, and how its field is written and parsed.
+/// embeddings.txt has no `parse`: MatrixPieces parses it in pieces.
 struct PayloadFile {
   const char* name;
   std::string (*serialize)(const PipelineArtifacts&);
@@ -213,7 +285,9 @@ size_t SizeOf(const PipelineArtifacts& a) {
 constexpr PayloadFile kPayloadFiles[] = {
     FileOf<&PipelineArtifacts::anchors>("anchors.txt"),
     FileOf<&PipelineArtifacts::candidate_groups>("groups.txt"),
-    FileOf<&PipelineArtifacts::group_embeddings>("embeddings.txt"),
+    {"embeddings.txt",
+     [](const PipelineArtifacts& a) { return Serialize(a.group_embeddings); },
+     nullptr},
     FileOf<&PipelineArtifacts::group_scores>("scores.txt"),
     FileOf<&PipelineArtifacts::scored_groups>("scored_groups.txt"),
     FileOf<&PipelineArtifacts::gae_node_errors>("node_errors.txt"),
@@ -259,7 +333,7 @@ Status WriteArtifactFiles(const PipelineArtifacts& artifacts,
   for (const PayloadFile& f : kPayloadFiles) {
     files.push_back({f.name, f.serialize(artifacts)});
   }
-  return WriteStoreDir(dir, kManifestFile, header, files);
+  return WriteStoreDir(dir, kArtifactManifest, header, files);
 }
 
 Status SaveArtifacts(const PipelineArtifacts& artifacts,
@@ -269,51 +343,123 @@ Status SaveArtifacts(const PipelineArtifacts& artifacts,
   });
 }
 
-Result<PipelineArtifacts> LoadArtifacts(const std::string& dir) {
-  // Every listed file is present, exactly its recorded size and
-  // checksum-clean before any parsing starts.
-  auto store = ReadStoreDir(dir, kManifestFile);
-  if (!store.ok()) return store.status();
-  const StoreDir& stored = store.value();
+constexpr size_t kNumPayloads = std::size(kPayloadFiles);
+
+struct ArtifactStoreParse::Impl {
+  Impl(const StoreDir& stored, std::string dir)
+      : stored(stored), dir(std::move(dir)) {}
+
+  const StoreDir& stored;
+  const std::string dir;
+  Status header;  ///< The manifest header's checks; no tasks unless ok.
+  PipelineArtifacts artifacts;
+  std::array<const std::string*, kNumPayloads> contents{};
+  std::array<Status, kNumPayloads> parsed;
+  MatrixPieces embeddings;
+};
+
+ArtifactStoreParse::ArtifactStoreParse(const StoreDir& stored,
+                                       const std::string& dir,
+                                       size_t piece_bytes)
+    : impl_(std::make_unique<Impl>(stored, dir)) {
   const ManifestHeader& header = stored.header;
-  const std::string manifest_path = PathIn(dir, kManifestFile);
+  const std::string manifest_path = PathIn(dir, kArtifactManifest);
   if (header.magic != kManifestMagic) {
-    return Malformed("unknown manifest magic", manifest_path);
+    impl_->header = Malformed("unknown manifest magic", manifest_path);
+    return;
   }
   if (header.version != kFormatVersion) {
-    return Malformed(
+    impl_->header = Malformed(
         "unsupported artifact version " + std::to_string(header.version),
         manifest_path);
+    return;
   }
-
-  PipelineArtifacts artifacts;
   const std::string* seed = header.Find("seed");
-  if (seed == nullptr || !ParseUint64Text(*seed, &artifacts.seed)) {
-    return Status::DataLoss("bad or missing seed in " + manifest_path);
+  if (seed == nullptr || !ParseUint64Text(*seed, &impl_->artifacts.seed)) {
+    impl_->header =
+        Status::DataLoss("bad or missing seed in " + manifest_path);
+    return;
   }
-  for (const PayloadFile& f : kPayloadFiles) {
-    const std::string* content = stored.Find(f.name);
-    if (content == nullptr) {
+  for (size_t i = 0; i < kNumPayloads; ++i) {
+    const PayloadFile& f = kPayloadFiles[i];
+    impl_->contents[i] = stored.Find(f.name);
+    if (impl_->contents[i] != nullptr && f.parse == nullptr) {
+      impl_->parsed[i] = impl_->embeddings.Begin(
+          *impl_->contents[i], PathIn(dir, f.name), piece_bytes,
+          &impl_->artifacts.group_embeddings);
+    }
+  }
+}
+
+ArtifactStoreParse::~ArtifactStoreParse() = default;
+
+void ArtifactStoreParse::AppendTasks(
+    std::vector<std::function<void()>>* tasks) {
+  Impl* impl = impl_.get();
+  if (!impl->header.ok()) return;
+  for (size_t p = 0; p < impl->embeddings.num_pieces(); ++p) {
+    tasks->push_back([impl, p] { impl->embeddings.ParsePiece(p); });
+  }
+  for (size_t i = 0; i < kNumPayloads; ++i) {
+    if (impl->contents[i] == nullptr || kPayloadFiles[i].parse == nullptr) {
+      continue;
+    }
+    tasks->push_back([impl, i] {
+      const PayloadFile& f = kPayloadFiles[i];
+      impl->parsed[i] = f.parse(*impl->contents[i], PathIn(impl->dir, f.name),
+                                &impl->artifacts);
+    });
+  }
+}
+
+Result<PipelineArtifacts> ArtifactStoreParse::Finish() {
+  Impl& impl = *impl_;
+  if (!impl.header.ok()) return impl.header;
+  const std::string manifest_path = PathIn(impl.dir, kArtifactManifest);
+  for (size_t i = 0; i < kNumPayloads; ++i) {
+    const PayloadFile& f = kPayloadFiles[i];
+    if (impl.contents[i] == nullptr) {
       return Status::DataLoss("manifest " + manifest_path +
                               " has no file entry for " + f.name);
     }
-    GRGAD_RETURN_IF_ERROR(f.parse(*content, PathIn(dir, f.name), &artifacts));
+    if (f.parse == nullptr && impl.parsed[i].ok()) {
+      impl.parsed[i] = impl.embeddings.Finish();
+    }
+    GRGAD_RETURN_IF_ERROR(impl.parsed[i]);
   }
   for (const CountKey& c : kCountKeys) {
-    const std::string path = PathIn(dir, c.file);
-    const std::string* value = header.Find(c.key);
+    const std::string path = PathIn(impl.dir, c.file);
+    const std::string* value = impl.stored.header.Find(c.key);
     long long declared = 0;
     if (value == nullptr || !TokenScanner(*value).I64(&declared)) {
       return Status::DataLoss(path + ": manifest has no valid " + c.key);
     }
-    const auto actual = static_cast<long long>(c.count(artifacts));
+    const auto actual = static_cast<long long>(c.count(impl.artifacts));
     if (declared != actual) {
       return Status::DataLoss(path + ": manifest declares " + c.key + "=" +
                               std::to_string(declared) + " but file has " +
                               std::to_string(actual));
     }
   }
-  return artifacts;
+  return std::move(impl.artifacts);
+}
+
+Result<PipelineArtifacts> ParseArtifactStore(const StoreDir& stored,
+                                             const std::string& dir,
+                                             size_t piece_bytes) {
+  ArtifactStoreParse parse(stored, dir, piece_bytes);
+  std::vector<std::function<void()>> tasks;
+  parse.AppendTasks(&tasks);
+  RunConcurrently(tasks);
+  return parse.Finish();
+}
+
+Result<PipelineArtifacts> LoadArtifacts(const std::string& dir) {
+  // Every listed file is present, exactly its recorded size and
+  // checksum-clean before any parsing starts.
+  auto store = ReadStoreDir(dir, kArtifactManifest);
+  if (!store.ok()) return store.status();
+  return ParseArtifactStore(store.value(), dir);
 }
 
 bool ArtifactLoadRetryable(const Status& status) {

@@ -10,6 +10,8 @@
 #ifndef GRGAD_CORE_ARTIFACTS_H_
 #define GRGAD_CORE_ARTIFACTS_H_
 
+#include <functional>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,6 +20,14 @@
 #include "src/util/status.h"
 
 namespace grgad {
+
+struct StoreDir;
+
+/// Manifest file name of an artifact directory (ReadStoreDir's argument).
+inline constexpr const char* kArtifactManifest = "manifest.txt";
+
+/// Default size of the pieces embeddings.txt is cut into for parsing.
+inline constexpr size_t kArtifactPieceBytes = size_t{64} << 10;
 
 /// Everything the pipeline produces, stage by stage.
 struct PipelineArtifacts {
@@ -65,6 +75,43 @@ Status WriteArtifactFiles(const PipelineArtifacts& artifacts,
 /// The result compares field-for-field identical, bit for bit, to what was
 /// saved.
 Result<PipelineArtifacts> LoadArtifacts(const std::string& dir);
+
+/// The parse half of LoadArtifacts, for an artifact directory ReadStoreDir
+/// has already read and verified, split into independent tasks so a caller
+/// can run them on the pool together with parses of its own (the serve
+/// snapshot adds its graph and state). Each payload file is one task,
+/// except embeddings.txt, most of the bytes: its cells are cut at
+/// whitespace into pieces of about `piece_bytes`, each piece's tokens
+/// parse as one task, and Finish places them by prefix offsets. `stored`
+/// must outlive this object.
+class ArtifactStoreParse {
+ public:
+  ArtifactStoreParse(const StoreDir& stored, const std::string& dir,
+                     size_t piece_bytes = kArtifactPieceBytes);
+  ~ArtifactStoreParse();
+
+  /// Appends the parse tasks, longest first. Each writes only its own
+  /// outputs; run every one exactly once, in any order, e.g. with
+  /// RunConcurrently.
+  void AppendTasks(std::vector<std::function<void()>>* tasks);
+
+  /// Once every task has run: the error a front-to-back parse would report
+  /// first (the manifest header, then the payloads in manifest order, then
+  /// the declared counts), else the artifacts. Values and errors equal the
+  /// serial parser's in tests/reference/, bit for bit.
+  Result<PipelineArtifacts> Finish();
+
+ private:
+  struct Impl;
+  std::unique_ptr<Impl> impl_;
+};
+
+/// ArtifactStoreParse with its tasks run on the pool: LoadArtifacts after
+/// its ReadStoreDir. `piece_bytes` only moves the piece boundaries (tests
+/// pass small values to put them everywhere); results never depend on it.
+Result<PipelineArtifacts> ParseArtifactStore(
+    const StoreDir& stored, const std::string& dir,
+    size_t piece_bytes = kArtifactPieceBytes);
 
 /// Retry predicate for LoadArtifacts under concurrent writers: transient
 /// read failures (kIoError, the DefaultRetryable category) AND kNotFound.

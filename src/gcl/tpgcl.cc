@@ -207,7 +207,9 @@ TpgclResult Tpgcl::FitEmbed(
       &result.loss_history);
   if (!trained) return result;
 
-  // Final embeddings of the *original* candidate groups.
+  // Final embeddings of the *original* candidate groups. Their buffers
+  // have none of the view batches' shapes.
+  session.FreeTrainingBuffers();
   result.embeddings = encode(orig_batch, orig_x).value();
   GRGAD_LOG(kDebug) << "TPGCL trained on " << m << " groups, final loss="
                     << (result.loss_history.empty()

@@ -78,11 +78,21 @@ GraphBuilder::GraphBuilder(int num_nodes) : num_nodes_(num_nodes) {
   GRGAD_CHECK_GE(num_nodes, 0);
 }
 
+namespace {
+
+/// Hash key of the normalized pair (u, v), u < v, both non-negative.
+uint64_t PairKey(int u, int v) {
+  return (static_cast<uint64_t>(u) << 32) | static_cast<uint32_t>(v);
+}
+
+}  // namespace
+
 void GraphBuilder::AddEdge(int u, int v) {
   GRGAD_CHECK(u >= 0 && u < num_nodes_);
   GRGAD_CHECK(v >= 0 && v < num_nodes_);
   if (u == v) return;
   if (u > v) std::swap(u, v);
+  if (indexed_ && !index_.insert(PairKey(u, v)).second) return;
   edges_.emplace_back(u, v);
   sorted_ = false;
 }
@@ -98,9 +108,12 @@ void GraphBuilder::EnsureSorted() const {
 bool GraphBuilder::HasEdge(int u, int v) const {
   if (u == v) return false;
   if (u > v) std::swap(u, v);
-  EnsureSorted();
-  return std::binary_search(edges_.begin(), edges_.end(),
-                            std::make_pair(u, v));
+  if (!indexed_) {
+    index_.reserve(edges_.size());
+    for (const auto& [a, b] : edges_) index_.insert(PairKey(a, b));
+    indexed_ = true;
+  }
+  return index_.count(PairKey(u, v)) != 0;
 }
 
 Graph GraphBuilder::Build(Matrix attributes) const {

@@ -8,7 +8,9 @@
 #ifndef GRGAD_GRAPH_GRAPH_H_
 #define GRGAD_GRAPH_GRAPH_H_
 
+#include <cstdint>
 #include <span>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -117,8 +119,11 @@ class GraphBuilder {
   }
   int num_nodes() const { return num_nodes_; }
 
-  /// True iff {u,v} was already added (O(log E)); convenience for builders
-  /// that must avoid colliding injected edges.
+  /// True iff {u,v} was already added; convenience for builders that must
+  /// avoid colliding injected edges. Expected O(1): the first call indexes
+  /// every pair added so far in a hash set, and AddEdge keeps that index
+  /// current from then on, so a generator that asks before every add stays
+  /// linear. Builders that never ask pay nothing for the index.
   bool HasEdge(int u, int v) const;
 
   /// Finalizes into an immutable Graph; the builder may be reused afterwards.
@@ -126,9 +131,12 @@ class GraphBuilder {
 
  private:
   int num_nodes_;
-  // Normalized (min, max) pairs in a sorted set-like vector.
+  // Normalized (min, max) pairs; sorted and deduplicated on demand.
   std::vector<std::pair<int, int>> edges_;
   mutable bool sorted_ = true;
+  // Every pair of edges_ as PairKey(u, v), once HasEdge has been asked.
+  mutable std::unordered_set<uint64_t> index_;
+  mutable bool indexed_ = false;
   void EnsureSorted() const;
 };
 

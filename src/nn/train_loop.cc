@@ -14,7 +14,8 @@ constexpr double kClipGradNorm = 5.0;
 
 TrainSession::TrainSession(MatrixArena* arena, uint64_t byte_budget,
                            const CancelToken* cancel)
-    : scope_(arena != nullptr ? arena : &local_arena_) {
+    : scope_(arena != nullptr ? arena : &local_arena_),
+      owns_arena_(arena == nullptr) {
   MatrixArena* installed = CurrentArena();
   installed->SetByteBudget(byte_budget);
   if (cancel != nullptr) {
@@ -46,6 +47,10 @@ bool TrainSession::Run(std::initializer_list<std::vector<Var>> params,
     if (loss_history != nullptr) loss_history->push_back(loss.item());
   }
   return true;
+}
+
+void TrainSession::FreeTrainingBuffers() {
+  if (owns_arena_) local_arena_.FreeParked();
 }
 
 }  // namespace grgad

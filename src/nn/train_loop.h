@@ -45,9 +45,16 @@ class TrainSession {
            const std::function<Var(int epoch)>& forward,
            std::vector<double>* loss_history = nullptr);
 
+  /// After the last Run: frees the buffers the fit's tape parked on a
+  /// session-local arena, so a final forward pass of other shapes does not
+  /// stack its fresh buffers on top of them. A caller-owned arena keeps
+  /// its warm buffers for the caller's next fit.
+  void FreeTrainingBuffers();
+
  private:
   MatrixArena local_arena_;
   ArenaScope scope_;
+  const bool owns_arena_;  ///< No arena was given: local_arena_ serves.
   std::optional<CancelToken> cancel_;
 };
 

@@ -139,6 +139,14 @@ void ServeMetrics::RecordDurabilityError(const Status& status) {
   last_durability_error_ = status.ToString();
 }
 
+void ServeMetrics::RecordBoot(double dataset_ms, double load_ms,
+                              double replay_ms) {
+  std::lock_guard<std::mutex> lock(mu_);
+  boot_dataset_ms_ = dataset_ms;
+  boot_load_ms_ = load_ms;
+  boot_replay_ms_ = replay_ms;
+}
+
 std::string ServeMetrics::SnapshotJson(size_t queue_depth,
                                        const MatrixArena* arena) const {
   std::lock_guard<std::mutex> lock(mu_);
@@ -228,6 +236,12 @@ std::string ServeMetrics::SnapshotJson(size_t queue_depth,
       .Key("truncated_tail_records").Int(truncated_tail_records_)
       .Key("errors").Int(durability_errors_)
       .Key("last_error").Str(last_durability_error_)
+      .End();
+
+  json.Key("boot").Object()
+      .Key("dataset_ms").Num(boot_dataset_ms_)
+      .Key("load_ms").Num(boot_load_ms_)
+      .Key("replay_ms").Num(boot_replay_ms_)
       .End();
 
   json.Key("workspace").Object()

@@ -12,9 +12,9 @@
 // aggregates, mutation/invalidation-fanout/refresh counters, rescore
 // score-cache counters (artifact generation, hits, misses), durability
 // counters (WAL appends/bytes/fsyncs, snapshots, recovery replay and
-// truncation totals), the shared workspace/arena allocation counters, and
-// a most-recent-batches timeline ring (collector + timeline, not an
-// unbounded log).
+// truncation totals), the start-up wall times (dataset, load, replay), the
+// shared workspace/arena allocation counters, and a most-recent-batches
+// timeline ring (collector + timeline, not an unbounded log).
 #ifndef GRGAD_SERVE_METRICS_H_
 #define GRGAD_SERVE_METRICS_H_
 
@@ -100,6 +100,11 @@ class ServeMetrics {
   /// degraded but kept serving.
   void RecordDurabilityError(const Status& status);
 
+  /// How the daemon's start spent its time (the "boot" snapshot section):
+  /// dataset generation (0 when a snapshot supplied the graph), the
+  /// snapshot or --in artifact load, and the WAL open + replay.
+  void RecordBoot(double dataset_ms, double load_ms, double replay_ms);
+
   /// The live snapshot. `queue_depth` is sampled by the caller (the queue
   /// owns it); `arena` contributes the shared warm-buffer stats (nullptr
   /// omits the section's counters but keeps the key).
@@ -165,6 +170,10 @@ class ServeMetrics {
   uint64_t truncated_tail_records_ = 0;
   uint64_t durability_errors_ = 0;
   std::string last_durability_error_;  ///< "" until the first error/note.
+  // Start-up wall times (the "boot" snapshot section):
+  double boot_dataset_ms_ = 0.0;
+  double boot_load_ms_ = 0.0;
+  double boot_replay_ms_ = 0.0;
 };
 
 }  // namespace grgad

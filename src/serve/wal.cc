@@ -9,10 +9,14 @@
 #include <cstdlib>
 #include <cstring>
 #include <filesystem>
+#include <functional>
+#include <memory>
 #include <utility>
+#include <vector>
 
 #include "src/util/atomic_io.h"
 #include "src/util/fault.h"
+#include "src/util/parallel.h"
 
 namespace grgad {
 namespace {
@@ -142,6 +146,8 @@ std::string SerializeServeState(const ServeStateSnapshot& state) {
   return out;
 }
 
+}  // namespace
+
 Result<ServeStateSnapshot> ParseServeState(const std::string& text) {
   // TokenScanner for the same reason as ParseGraphSnapshot: the refresh
   // cache is one int token per cached candidate, all-anchor serving state
@@ -210,8 +216,6 @@ Result<ServeStateSnapshot> ParseServeState(const std::string& text) {
   }
   return state;
 }
-
-}  // namespace
 
 Result<std::unique_ptr<WriteAheadLog>> WriteAheadLog::Open(
     const std::string& path, int sync_every) {
@@ -440,30 +444,36 @@ Status SaveServeSnapshot(const std::string& state_dir, const Graph& graph,
 Result<LoadedServeSnapshot> LoadServeSnapshot(const std::string& state_dir) {
   namespace fs = std::filesystem;
   const fs::path snap_dir = fs::path(state_dir) / kSnapshotDirName;
-  // The artifacts directory verifies itself through its own manifest inside
-  // LoadArtifacts.
   auto store = ReadStoreDir(snap_dir.string(), kSnapshotManifest);
   if (!store.ok()) return store.status();
-  const StoreDir& stored = store.value();
+  // The artifacts directory verifies itself through its own manifest. It is
+  // read before anything parses, so both stores' payloads parse in one
+  // pool pass.
+  const Result<StoreDir> artifacts = ReadStoreDir(
+      (snap_dir / kSnapshotArtifactsDir).string(), kArtifactManifest);
+  return ParseServeSnapshot(store.value(), artifacts, snap_dir.string());
+}
+
+Result<LoadedServeSnapshot> ParseServeSnapshot(
+    const StoreDir& stored, const Result<StoreDir>& artifacts,
+    const std::string& snap_dir) {
   if (stored.header.magic != kSnapshotMagic ||
       stored.header.version != kSnapshotVersion) {
     return Status::DataLoss("snapshot: bad or missing version header under " +
-                            snap_dir.string());
+                            snap_dir);
   }
   LoadedServeSnapshot snap;
   const std::string* wal_seq = stored.header.Find("wal_seq");
   long long seq = 0;
   if (wal_seq == nullptr || !TokenScanner(*wal_seq).I64(&seq) || seq < 0) {
-    return Status::DataLoss("snapshot: bad wal_seq under " +
-                            snap_dir.string());
+    return Status::DataLoss("snapshot: bad wal_seq under " + snap_dir);
   }
   snap.wal_seq = static_cast<uint64_t>(seq);
   long long compactions = 0;
   if (const std::string* text = stored.header.Find("compactions");
       text != nullptr &&
       (!TokenScanner(*text).I64(&compactions) || compactions < 0)) {
-    return Status::DataLoss("snapshot: bad compactions under " +
-                            snap_dir.string());
+    return Status::DataLoss("snapshot: bad compactions under " + snap_dir);
   }
   const std::string* graph_text = stored.Find(kSnapshotGraphFile);
   const std::string* state_text = stored.Find(kSnapshotStateFile);
@@ -472,23 +482,39 @@ Result<LoadedServeSnapshot> LoadServeSnapshot(const std::string& state_dir) {
                             std::string(kSnapshotGraphFile) + " and " +
                             kSnapshotStateFile);
   }
-  auto graph = ParseGraphSnapshot(*graph_text);
+  // The graph parse is the longest task; the artifact payloads follow.
+  Result<Graph> graph = Status::Internal("graph.txt not parsed");
+  Result<ServeStateSnapshot> state =
+      Status::Internal("serve_state.txt not parsed");
+  std::vector<std::function<void()>> tasks = {
+      [&] { graph = ParseGraphSnapshot(*graph_text); }};
+  std::unique_ptr<ArtifactStoreParse> artifact_parse;
+  if (artifacts.ok()) {
+    artifact_parse = std::make_unique<ArtifactStoreParse>(
+        artifacts.value(),
+        (std::filesystem::path(snap_dir) / kSnapshotArtifactsDir).string());
+    artifact_parse->AppendTasks(&tasks);
+  }
+  tasks.push_back([&] { state = ParseServeState(*state_text); });
+  RunConcurrently(tasks);
+
   if (!graph.ok()) return graph.status();
   snap.graph = std::move(graph.value());
-  auto state = ParseServeState(*state_text);
   if (!state.ok()) return state.status();
   snap.state = std::move(state.value());
   snap.state.compactions = static_cast<uint64_t>(compactions);
-  auto artifacts = LoadArtifacts((snap_dir / kSnapshotArtifactsDir).string());
-  if (!artifacts.ok()) {
-    if (artifacts.status().code() == StatusCode::kNotFound) {
+  Result<PipelineArtifacts> loaded =
+      artifact_parse != nullptr ? artifact_parse->Finish()
+                                : Result<PipelineArtifacts>(artifacts.status());
+  if (!loaded.ok()) {
+    if (loaded.status().code() == StatusCode::kNotFound) {
       // A committed snapshot without its artifacts is torn, not absent.
       return Status::DataLoss("snapshot: artifacts missing: " +
-                              artifacts.status().ToString());
+                              loaded.status().ToString());
     }
-    return artifacts.status();
+    return loaded.status();
   }
-  snap.artifacts = std::move(artifacts.value());
+  snap.artifacts = std::move(loaded.value());
   if (snap.state.refresh.primed &&
       snap.state.refresh.per_anchor.size() != snap.artifacts.anchors.size()) {
     return Status::DataLoss(

@@ -46,6 +46,7 @@
 #include "src/core/refresh.h"
 #include "src/graph/dynamic_graph.h"
 #include "src/graph/graph.h"
+#include "src/util/atomic_io.h"
 #include "src/util/status.h"
 
 namespace grgad {
@@ -159,7 +160,23 @@ Status SaveServeSnapshot(const std::string& state_dir, const Graph& graph,
 /// start — the caller falls back to --in/training plus full WAL replay);
 /// DataLoss when one exists but is torn or checksum-corrupt (refusing to
 /// serve from damaged state beats silently rescoring from the wrong graph).
+/// Both stores are read first, in the order a front-to-back load reads
+/// them; then ParseServeSnapshot parses them.
 Result<LoadedServeSnapshot> LoadServeSnapshot(const std::string& state_dir);
+
+/// The parse half of LoadServeSnapshot: `snapshot` is the store read from
+/// `snap_dir`, and `artifacts` what ReadStoreDir returned for its nested
+/// artifacts/ directory. graph.txt, serve_state.txt and the artifact
+/// payloads parse in one pass on the pool; the error reported is the one a
+/// front-to-back load reports first (the manifest header, graph.txt,
+/// serve_state.txt, then the artifacts, a missing artifacts/ being
+/// DataLoss).
+Result<LoadedServeSnapshot> ParseServeSnapshot(
+    const StoreDir& snapshot, const Result<StoreDir>& artifacts,
+    const std::string& snap_dir);
+
+/// Parses a serve_state.txt payload; DataLoss on any malformed field.
+Result<ServeStateSnapshot> ParseServeState(const std::string& text);
 
 }  // namespace grgad
 

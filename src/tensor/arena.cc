@@ -73,6 +73,11 @@ void MatrixArena::Release(Matrix&& m) {
   free_[ShapeKey(m.rows(), m.cols())].push_back(std::move(m));
 }
 
+void MatrixArena::FreeParked() {
+  std::lock_guard<std::mutex> lock(mu_);
+  free_.clear();
+}
+
 MatrixArena::Stats MatrixArena::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
   return stats_;

@@ -70,6 +70,10 @@ class MatrixArena {
   /// Empty matrices are ignored.
   void Release(Matrix&& m);
 
+  /// Frees every parked buffer (stats are kept): for an arena whose owner
+  /// is done with the shapes it recycles.
+  void FreeParked();
+
   Stats stats() const;
   void ResetStats();
 

@@ -79,17 +79,6 @@ Status FsyncPath(const std::string& path, bool is_dir) {
   return Status::Ok();
 }
 
-namespace {
-
-/// Locale-free whitespace test. std::isspace is an opaque per-character
-/// libc call through the locale table; over a multi-megabyte snapshot that
-/// one call is the single largest parse cost.
-inline bool IsSpace(char c) {
-  return c == ' ' || (c >= '\t' && c <= '\r');
-}
-
-}  // namespace
-
 bool TokenScanner::Token(std::string_view* out) {
   while (p_ < end_ && IsSpace(*p_)) ++p_;
   if (p_ == end_) return false;

@@ -160,6 +160,12 @@ class TokenScanner {
   bool Hex64(uint64_t* out);
   /// True when only whitespace remains (the "no trailing data" check).
   bool AtEnd();
+  /// The whitespace class tokens are split on. Locale-free: std::isspace
+  /// is an opaque per-character libc call through the locale table, and
+  /// over a multi-megabyte snapshot that one call was the largest parse
+  /// cost.
+  static bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+
   /// Unconsumed input (may start with whitespace) — lets a caller hand a
   /// regular trailing section (e.g. fixed-width rows) to parallel workers.
   std::string_view Remaining() const {

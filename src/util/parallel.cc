@@ -34,4 +34,11 @@ void ParallelFor(size_t n, size_t min_grain,
   });
 }
 
+void RunConcurrently(const std::vector<std::function<void()>>& tasks) {
+  // RunChunks itself runs inline without workers, when nested, or when
+  // another caller holds the pool.
+  ThreadPool::Global().RunChunks(tasks.size(),
+                                 [&tasks](size_t i) { tasks[i](); });
+}
+
 }  // namespace grgad

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <functional>
+#include <vector>
 
 namespace grgad {
 
@@ -30,6 +31,13 @@ void SetParallelismDegree(int degree);
 /// is available. `body` must write disjoint outputs per sub-range.
 void ParallelFor(size_t n, size_t min_grain,
                  const std::function<void(size_t, size_t)>& body);
+
+/// Runs each task once across the pool's lanes. A lane that finishes takes
+/// the next task not yet started, in list order, so put long tasks first.
+/// Runs them in order on the calling thread when only one thread is
+/// available or from inside a parallel region (ParallelFor inside a task
+/// also runs inline). Tasks must write disjoint outputs.
+void RunConcurrently(const std::vector<std::function<void()>>& tasks);
 
 }  // namespace grgad
 

@@ -2,13 +2,16 @@
 // pattern mixes (Table II), label consistency, and the synthetic-commons.
 #include <algorithm>
 #include <cmath>
+#include <iterator>
 #include <set>
+#include <string>
 
 #include <gtest/gtest.h>
 
 #include "src/data/registry.h"
 #include "src/data/synth_common.h"
 #include "src/sampling/pattern_search.h"
+#include "src/util/atomic_io.h"
 #include "tests/reference/reference_graph.h"
 
 namespace grgad {
@@ -75,6 +78,65 @@ TEST_P(RegistryDatasetTest, DifferentSeedsDiffer) {
 
 INSTANTIATE_TEST_SUITE_P(AllDatasets, RegistryDatasetTest,
                          ::testing::ValuesIn(ListDatasets()));
+
+/// FNV-1a over a list of integer rows: each id, then a row break.
+template <typename Rows>
+uint64_t RowsFingerprint(int num_rows, const Rows& row) {
+  std::string text;
+  for (int r = 0; r < num_rows; ++r) {
+    for (int v : row(r)) {
+      text += std::to_string(v);
+      text += ' ';
+    }
+    text += '\n';
+  }
+  return Fnv1a64(text);
+}
+
+struct DatasetPin {
+  const char* name;
+  int nodes;
+  int edges;
+  uint64_t csr_rows;  ///< RowsFingerprint of the neighbor rows.
+  uint64_t groups;    ///< RowsFingerprint of the anomaly groups.
+};
+
+// Every registry dataset at default options. Integers only, so one literal
+// set holds on every build and ISA; a generator change that moves a single
+// edge or group member shows here.
+constexpr DatasetPin kDatasetPins[] = {
+    {"simml", 2768, 4267, 0x1cee7c683ad39c4bULL, 0x91dd213a3e5214deULL},
+    {"cora-group", 2801, 5425, 0xd3964fcaef37c380ULL, 0x6ff6d5fa95f0cdafULL},
+    {"citeseer-group", 3399, 4716, 0x84307169647b6c99ULL,
+     0x5393daf655530037ULL},
+    {"amlpublic", 16720, 17271, 0x913e420708c87cf1ULL, 0x71be081d8a661f05ULL},
+    {"ethereum", 1823, 3183, 0xe693db56cb4b1332ULL, 0xbdca53a5c742129fULL},
+    {"example", 111, 215, 0x4e42a0e7774b43b1ULL, 0x1ae638860bf903b7ULL},
+};
+
+TEST(RegistryTest, DefaultDatasetsArePinned) {
+  ASSERT_EQ(ListDatasets().size(), std::size(kDatasetPins));
+  for (const std::string& name : ListDatasets()) {
+    const DatasetPin* pin = nullptr;
+    for (const DatasetPin& p : kDatasetPins) {
+      if (name == p.name) pin = &p;
+    }
+    ASSERT_NE(pin, nullptr) << "no pin for " << name;
+    auto made = MakeDataset(name);
+    ASSERT_TRUE(made.ok()) << name;
+    const Dataset& d = made.value();
+    EXPECT_EQ(d.graph.num_nodes(), pin->nodes) << name;
+    EXPECT_EQ(d.graph.num_edges(), pin->edges) << name;
+    EXPECT_EQ(RowsFingerprint(d.graph.num_nodes(),
+                              [&](int v) { return d.graph.Neighbors(v); }),
+              pin->csr_rows)
+        << name;
+    EXPECT_EQ(RowsFingerprint(static_cast<int>(d.anomaly_groups.size()),
+                              [&](int g) { return d.anomaly_groups[g]; }),
+              pin->groups)
+        << name;
+  }
+}
 
 TEST(RegistryTest, UnknownNameIsNotFound) {
   auto result = MakeDataset("no-such-dataset", {});

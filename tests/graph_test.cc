@@ -3,11 +3,14 @@
 #include "src/graph/graph.h"
 
 #include <algorithm>
+#include <iterator>
+#include <set>
 #include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "src/util/rng.h"
 #include "tests/kernel_test_util.h"
 
 namespace grgad {
@@ -43,6 +46,57 @@ TEST(GraphBuilderTest, HasEdgeQueries) {
   EXPECT_TRUE(b.HasEdge(2, 0));
   EXPECT_FALSE(b.HasEdge(0, 1));
   EXPECT_FALSE(b.HasEdge(1, 1));
+}
+
+TEST(GraphBuilderTest, HasEdgeMatchesASetModelUnderRandomAdds) {
+  // Random adds with duplicates, reversed pairs and self-loops, HasEdge
+  // asked between them, before and after Build, and on a reused builder:
+  // the builder answers exactly as a std::set of normalized pairs.
+  constexpr int kNodes = 40;
+  Rng rng(11);
+  GraphBuilder b(kNodes);
+  std::set<std::pair<int, int>> model;
+  const auto random_node = [&] {
+    return static_cast<int>(rng.UniformInt(static_cast<uint64_t>(kNodes)));
+  };
+  const auto check_all = [&] {
+    for (int u = 0; u < kNodes; ++u) {
+      for (int v = 0; v < kNodes; ++v) {
+        ASSERT_EQ(b.HasEdge(u, v),
+                  model.count({std::min(u, v), std::max(u, v)}) != 0 &&
+                      u != v)
+            << u << "-" << v;
+      }
+    }
+    ASSERT_EQ(b.num_edges(), static_cast<int>(model.size()));
+  };
+  for (int round = 0; round < 3; ++round) {
+    for (int step = 0; step < 150; ++step) {
+      int u = random_node();
+      int v = step % 10 == 0 ? u : random_node();  // Every tenth a self-loop.
+      if (step % 7 == 0 && !model.empty()) {
+        // Re-add a present pair, reversed half of the time.
+        auto it = model.begin();
+        std::advance(it, rng.UniformInt(model.size()));
+        u = step % 2 ? it->second : it->first;
+        v = step % 2 ? it->first : it->second;
+      }
+      if (step % 5 == 0) {
+        const int a = random_node();
+        const int c = random_node();
+        ASSERT_EQ(b.HasEdge(a, c),
+                  a != c && model.count({std::min(a, c), std::max(a, c)}) != 0);
+      }
+      b.AddEdge(u, v);
+      if (u != v) model.insert({std::min(u, v), std::max(u, v)});
+    }
+    check_all();
+    // Build leaves the builder reusable; the next round keeps adding.
+    const Graph g = b.Build();
+    ASSERT_EQ(g.num_edges(), static_cast<int>(model.size()));
+    for (const auto& [u, v] : model) ASSERT_TRUE(g.HasEdge(u, v));
+    check_all();
+  }
 }
 
 TEST(GraphTest, NeighborsSortedAndSymmetric) {

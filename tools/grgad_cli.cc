@@ -397,8 +397,10 @@ int CmdRun(const Args& args) {
   // Transient loader failures (kIoError) retry with capped backoff;
   // anything else surfaces immediately.
   Retryer dataset_retryer{RetryPolicy{}};
+  Timer data_timer;
   auto dataset = dataset_retryer.RunResult<Dataset>(
       [&] { return MakeDataset(args.dataset, data_options); });
+  const double data_seconds = data_timer.ElapsedSeconds();
   if (!dataset.ok()) return FailWith(args, "run", dataset.status());
   const Dataset& d = dataset.value();
   if (!args.quiet) {
@@ -417,6 +419,9 @@ int CmdRun(const Args& args) {
 
   RunContext ctx;
   ctx.profile = args.profile;
+  // Dataset generation runs before any pipeline stage; --profile lists it
+  // first so a run's wall time is fully accounted for.
+  if (args.profile) ctx.RecordSubStage("data", data_seconds);
   if (args.timeout > 0.0) ctx.SetDeadlineAfter(args.timeout);
   if (!args.quiet) {
     ctx.on_progress = [](const StageEvent& event) {
@@ -567,15 +572,13 @@ int CmdServe(const Args& args) {
   // that response, never kill the daemon.
   std::signal(SIGPIPE, SIG_IGN);
 
-  DatasetOptions data_options;
-  data_options.seed = args.data_seed;
-  data_options.scale = args.scale;
-  data_options.attr_dim = args.attr_dim;
-  Retryer dataset_retryer{RetryPolicy{}};
-  auto dataset = dataset_retryer.RunResult<Dataset>(
-      [&] { return MakeDataset(args.dataset, data_options); });
-  if (!dataset.ok()) return FailWith(args, "serve", dataset.status());
-  const Dataset& d = dataset.value();
+  // The dataset is generated below only when no snapshot replaces its
+  // graph, but an unknown name still fails before anything else runs.
+  const std::vector<std::string> names = ListDatasets();
+  if (std::find(names.begin(), names.end(), args.dataset) == names.end()) {
+    return FailWith(args, "serve",
+                    Status::NotFound("unknown dataset: " + args.dataset));
+  }
 
   std::vector<std::string> overrides = args.overrides;
   if (!args.detector.empty()) {
@@ -595,8 +598,11 @@ int CmdServe(const Args& args) {
   // artifacts it last persisted (plus the WAL tail, replayed after
   // construction). `snapshot` must outlive `daemon`, which borrows its graph.
   std::unique_ptr<LoadedServeSnapshot> snapshot;
+  Timer load_timer;
+  double load_ms = 0.0;
   if (!args.state_dir.empty()) {
     auto loaded = LoadServeSnapshot(args.state_dir);
+    load_ms = load_timer.ElapsedMillis();
     if (loaded.ok()) {
       snapshot =
           std::make_unique<LoadedServeSnapshot>(std::move(loaded).value());
@@ -616,14 +622,37 @@ int CmdServe(const Args& args) {
     }
   }
 
+  // A recovered snapshot carries the mutated graph, so the dataset is only
+  // generated when there is none: a restart costs what it loads.
+  Dataset dataset;
+  double dataset_ms = 0.0;
+  if (snapshot == nullptr) {
+    DatasetOptions data_options;
+    data_options.seed = args.data_seed;
+    data_options.scale = args.scale;
+    data_options.attr_dim = args.attr_dim;
+    Retryer dataset_retryer{RetryPolicy{}};
+    Timer data_timer;
+    auto generated = dataset_retryer.RunResult<Dataset>(
+        [&] { return MakeDataset(args.dataset, data_options); });
+    dataset_ms = data_timer.ElapsedMillis();
+    if (!generated.ok()) {
+      HookStopSignals(false);
+      return FailWith(args, "serve", generated.status());
+    }
+    dataset = std::move(generated).value();
+  }
+
   PipelineArtifacts artifacts;
   if (snapshot != nullptr) {
     artifacts = std::move(snapshot->artifacts);
   } else if (!args.in_dir.empty()) {
     Retryer load_retryer{RetryPolicy{}};
     load_retryer.set_retryable(ArtifactLoadRetryable);
+    load_timer.Reset();
     auto loaded = load_retryer.RunResult<PipelineArtifacts>(
         [&] { return LoadArtifacts(args.in_dir); });
+    load_ms = load_timer.ElapsedMillis();
     if (!loaded.ok()) {
       HookStopSignals(false);
       return FailWith(args, "serve", loaded.status());
@@ -637,7 +666,7 @@ int CmdServe(const Args& args) {
     if (!args.quiet) {
       std::fprintf(stderr, "serve: training resident artifacts...\n");
     }
-    auto trained = RunPipeline(d.graph, options.value(), &startup_ctx);
+    auto trained = RunPipeline(dataset.graph, options.value(), &startup_ctx);
     if (!trained.ok()) {
       HookStopSignals(false);
       return FailWith(args, "serve", trained.status());
@@ -650,19 +679,23 @@ int CmdServe(const Args& args) {
   serve_options.max_queue = static_cast<size_t>(args.max_queue);
   serve_options.default_timeout_seconds = args.timeout;
   serve_options.state_dir = args.state_dir;
-  ServeDaemon daemon(snapshot != nullptr ? snapshot->graph : d.graph,
+  ServeDaemon daemon(snapshot != nullptr ? snapshot->graph : dataset.graph,
                      std::move(artifacts), serve_options);
+  double replay_ms = 0.0;
   if (!args.state_dir.empty()) {
     // Opens (or creates) the WAL, replays the unsnapshotted tail through the
     // live mutation path, and truncates any torn record. Failures here are
     // startup failures: serving non-durably when durability was requested
     // would break the crash-recovery contract silently.
+    Timer replay_timer;
     const Status durable = daemon.EnableDurability(snapshot.get());
+    replay_ms = replay_timer.ElapsedMillis();
     if (!durable.ok()) {
       HookStopSignals(false);
       return FailWith(args, "serve", durable);
     }
   }
+  daemon.metrics().RecordBoot(dataset_ms, load_ms, replay_ms);
   daemon.Prewarm();
 
   // The serving stop token is fresh: SIGTERM from here on means "drain and
